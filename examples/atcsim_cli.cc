@@ -1,8 +1,8 @@
 // atcsim_cli — run a single scenario (or a small repetition sweep) from the
 // command line.
 //
-//   $ ./atcsim_cli --app lu --class B --nodes 8 --approach ATC \
-//                  --warmup-s 2 --measure-s 6 [--slice-ms 0.3] [--reps 3] \
+//   $ ./atcsim_cli --app lu --class B --nodes 8 --approach ATC
+//                  --warmup-s 2 --measure-s 6 [--slice-ms 0.3] [--reps 3]
 //                  [--threads N] [--no-cache] [--csv] [--jsonl out.jsonl]
 //
 // Builds evaluation type A (four identical virtual clusters of the chosen

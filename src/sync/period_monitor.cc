@@ -9,13 +9,32 @@ using sim::SimTime;
 
 void PeriodMonitor::Subscription::reset() {
   if (id_ == 0) return;
-  if (auto list = list_.lock()) {
-    list->erase(std::remove_if(list->begin(), list->end(),
-                               [this](const Entry& e) { return e.id == id_; }),
-                list->end());
-  }
+  if (auto list = list_.lock()) list->detach(id_);
   list_.reset();
   id_ = 0;
+}
+
+void PeriodMonitor::SubscriberList::detach(std::uint64_t id) {
+  const auto it = std::lower_bound(
+      entries.begin(), entries.end(), id,
+      [](const Entry& e, std::uint64_t key) { return e.id < key; });
+  if (it == entries.end() || it->id != id || !it->live) return;
+  it->live = false;
+  // Safe even mid-sweep: sample() moves a callback out of its entry while
+  // invoking it, so the callable destroyed here is never the running one.
+  it->cb = nullptr;
+  ++dead;
+  maybe_compact();
+}
+
+void PeriodMonitor::SubscriberList::maybe_compact() {
+  // Amortized O(1) per detach: compact only once tombstones outnumber the
+  // live entries, and never under a sweep's indices.
+  if (sweeping || dead * 2 <= entries.size()) return;
+  entries.erase(std::remove_if(entries.begin(), entries.end(),
+                               [](const Entry& e) { return !e.live; }),
+                entries.end());
+  dead = 0;
 }
 
 PeriodMonitor::PeriodMonitor(virt::Platform& platform)
@@ -26,7 +45,7 @@ PeriodMonitor::~PeriodMonitor() { stop(); }
 
 PeriodMonitor::Subscription PeriodMonitor::subscribe(Callback cb) {
   const std::uint64_t id = next_sub_id_++;
-  subscribers_->push_back(Entry{id, std::move(cb)});
+  subscribers_->entries.push_back(Entry{id, std::move(cb)});
   return Subscription{subscribers_, id};
 }
 
@@ -106,17 +125,23 @@ void PeriodMonitor::sample() {
   }
   ++periods_;
   // Callbacks may subscribe/unsubscribe (or migrate VMs) from inside a
-  // period; sweep a snapshot of ids and re-find each in the live list so
-  // erasure during the sweep cannot skip or double-invoke an entry.
-  sweep_ids_.clear();
-  for (const Entry& e : *subscribers_) sweep_ids_.push_back(e.id);
-  for (const std::uint64_t id : sweep_ids_) {
-    for (std::size_t i = 0; i < subscribers_->size(); ++i) {
-      if ((*subscribers_)[i].id != id) continue;
-      (*subscribers_)[i].cb(periods_);
-      break;
-    }
+  // period.  Sweep by index over the entries present at sweep start:
+  // subscriptions made during the sweep are appended past `n` and first
+  // run next period, detached ones are skipped as tombstones, and no
+  // compaction moves entries under the walk.  The running callback is
+  // moved out of its entry, so a subscribe that regrows the vector, or a
+  // detach of the running entry itself, never touches the live callable.
+  SubscriberList& list = *subscribers_;
+  list.sweeping = true;
+  const std::size_t n = list.entries.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!list.entries[i].live) continue;
+    Callback cb = std::move(list.entries[i].cb);
+    cb(periods_);
+    if (list.entries[i].live) list.entries[i].cb = std::move(cb);
   }
+  list.sweeping = false;
+  list.maybe_compact();
 }
 
 sim::SimTime PeriodMonitor::avg_spin_latency(virt::VmId id) const {

@@ -37,10 +37,20 @@ class PeriodMonitor {
   struct Entry {
     std::uint64_t id = 0;
     Callback cb;
+    bool live = true;  ///< false: detached tombstone awaiting compaction
   };
   /// Shared between the monitor and its subscription handles; a handle
-  /// detaching after the monitor died just finds the list empty.
-  using SubscriberList = std::vector<Entry>;
+  /// detaching after the monitor died just finds the list gone.  Entries
+  /// stay in subscription order, so ids ascend and a detach is a binary
+  /// search plus a tombstone; tombstones are compacted away once they are
+  /// the majority, never while sample() is walking the entries by index.
+  struct SubscriberList {
+    std::vector<Entry> entries;
+    std::size_t dead = 0;   ///< tombstones in `entries`
+    bool sweeping = false;  ///< sample() is invoking callbacks
+    void detach(std::uint64_t id);
+    void maybe_compact();
+  };
 
  public:
   /// RAII handle for one subscription.  Movable; destroying (or reset()ing)
@@ -112,7 +122,9 @@ class PeriodMonitor {
   sim::SimTime avg_spin_latency(virt::VmId id) const;
 
   std::uint64_t periods_elapsed() const { return periods_; }
-  std::size_t subscriber_count() const { return subscribers_->size(); }
+  std::size_t subscriber_count() const {
+    return subscribers_->entries.size() - subscribers_->dead;
+  }
 
  private:
   void sample();
@@ -120,7 +132,6 @@ class PeriodMonitor {
   virt::Platform* platform_;
   std::vector<virt::Vm::PeriodStats> last_;
   std::shared_ptr<SubscriberList> subscribers_;
-  std::vector<std::uint64_t> sweep_ids_;  // reused per sample() sweep
   std::vector<virt::VmId> ring_scratch_;  // swapped with the platform ring
   std::vector<virt::VmId> prev_active_;   // sampled last period; may go idle
   std::uint64_t next_sub_id_ = 1;

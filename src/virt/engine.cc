@@ -218,10 +218,7 @@ void Engine::run_current(Pcpu& p) {
           e.action_valid = false;
           continue;
         }
-        if (!e.wait_registered) {
-          ev->add_waiter(*v);
-          e.wait_registered = true;
-        }
+        if (!e.wait_registered) ev->add_waiter(*v);
         e.segment_start = now;
         return;  // burn CPU until signal or slice expiry
       }
@@ -232,10 +229,7 @@ void Engine::run_current(Pcpu& p) {
           e.action_valid = false;
           continue;
         }
-        if (!e.wait_registered) {
-          ev->add_waiter(*v);
-          e.wait_registered = true;
-        }
+        if (!e.wait_registered) ev->add_waiter(*v);
         leave_cpu(p, LeaveReason::kBlock);
         return;
       }
@@ -921,11 +915,15 @@ void Engine::request_resched(Pcpu& p) {
   leave_cpu(p, LeaveReason::kPreempt);
 }
 
-void Engine::on_signalled(const std::vector<Vcpu*>& waiters) {
-  for (Vcpu* v : waiters) {
+void Engine::on_signalled(Vcpu* chain) {
+  for (Vcpu* v = chain; v != nullptr;) {
     auto& e = v->eng();
-    mark_effect(v->vm());  // the wait this VCPU was parked on is gone
+    // Unlink before processing: waking or re-running `v` may register it on
+    // another (or this reset) event, which rewrites next_waiter.
+    Vcpu* const next = e.next_waiter;
+    e.next_waiter = nullptr;
     e.wait_registered = false;
+    mark_effect(v->vm());  // the wait this VCPU was parked on is gone
     switch (v->state()) {
       case VcpuState::kBlocked:
         wake(*v);
@@ -949,6 +947,7 @@ void Engine::on_signalled(const std::vector<Vcpu*>& waiters) {
       case VcpuState::kDone:
         break;
     }
+    v = next;
   }
 }
 

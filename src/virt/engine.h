@@ -57,8 +57,9 @@ class Engine {
   /// Attempts to dispatch work onto any idle PCPU of `node`.
   void kick_idle_pcpus(Node& node);
 
-  /// SyncEvent plumbing: called by SyncEvent::signal with its waiter list.
-  void on_signalled(const std::vector<Vcpu*>& waiters);
+  /// SyncEvent plumbing: called by SyncEvent::signal with its detached
+  /// waiter chain (linked through Vcpu::EngineState::next_waiter, FIFO).
+  void on_signalled(Vcpu* chain);
 
   /// Schedules `ev.signal()` in `delay` and records the pending wake so
   /// earliest_effect_time can see it.  Every workload timer whose firing can

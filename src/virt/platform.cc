@@ -72,6 +72,7 @@ Vm& Platform::create_vm(NodeId node_id, VmType type, const std::string& name,
   auto vm = std::make_unique<Vm>(VmId{static_cast<std::int32_t>(vms_.size())},
                                  node, type, name);
   vm->set_time_slice(config_.params.default_time_slice);
+  if (vcpus > 0) vm->reserve_vcpus(static_cast<std::size_t>(vcpus));
   for (int i = 0; i < vcpus; ++i) {
     Vcpu& v = vm->add_vcpu(VcpuId{static_cast<std::int32_t>(vcpus_.size())});
     vcpus_.push_back(&v);

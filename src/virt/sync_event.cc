@@ -1,7 +1,5 @@
 #include "virt/sync_event.h"
 
-#include <algorithm>
-
 #include "obs/trace.h"
 #include "virt/engine.h"
 #include "virt/vcpu.h"
@@ -18,34 +16,31 @@ void SyncEvent::signal() {
   // no longer guards anything.  Bumping the sequence invalidates the heap
   // node lazily.
   clear_effect_pending();
-  // Swap the waiter list into a retained scratch buffer instead of moving
-  // it out: both vectors keep their capacity, so a reset()/wait/signal
-  // cycle (dom0's idle wait) never reallocates.  Waiters registered
-  // re-entrantly during on_signalled land in the (empty) waiters_ vector,
-  // not in the list being consumed.
-  scratch_.swap(waiters_);
+  // Detach the whole chain before waking anyone: a waiter that registers
+  // again while on_signalled runs lands in a fresh list, not in the chain
+  // being consumed.
+  Vcpu* chain = head_;
+  head_ = nullptr;
+  tail_ = nullptr;
 #if ATCSIM_TRACE_ENABLED
   if (obs::TraceSink* sink = engine_->simulation().trace()) {
     obs::TraceEvent e;
     e.time = engine_->simulation().now();
     e.cat = obs::TraceCat::kSync;
     e.type = obs::ev::kSignal;
-    if (!scratch_.empty()) {
-      e.vm = scratch_.front()->vm().id().value;
-      e.vcpu = scratch_.front()->id().value;
+    if (chain != nullptr) {
+      e.vm = chain->vm().id().value;
+      e.vcpu = chain->id().value;
     }
-    e.a0 = static_cast<std::int64_t>(scratch_.size());
+    std::int64_t woken = 0;
+    for (const Vcpu* v = chain; v != nullptr; v = v->eng().next_waiter) {
+      ++woken;
+    }
+    e.a0 = woken;
     sink->emit(e);
   }
 #endif
-  engine_->on_signalled(scratch_);
-  scratch_.clear();
-}
-
-void SyncEvent::remove_waiter(const Vcpu& v) {
-  waiters_.erase(std::remove(waiters_.begin(), waiters_.end(), &v),
-                 waiters_.end());
-  if (effect_when_ != 0) notify_effect_waiters_changed();
+  if (chain != nullptr) engine_->on_signalled(chain);
 }
 
 void SyncEvent::notify_effect_waiters_changed() {

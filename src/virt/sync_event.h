@@ -5,27 +5,80 @@
 // (kBlockWait: the VCPU halts and is woken with BOOST — the kernel/IRQ
 // model).  A SyncEvent is signalled at most once between resets;
 // steady-state consumers (dom0's idle wait, BspApp's generation ring of
-// barrier events) reset() and reuse their events to honour the
-// zero-allocation contract.
+// barrier events) reset() and reuse their events.
+//
+// The waiter list is intrusive: a FIFO threaded through
+// Vcpu::EngineState::next_waiter.  A VCPU waits on at most one event at a
+// time, so one link per VCPU suffices and registering, signalling and
+// resetting never touch the allocator — an event is two pointers of list
+// state, not two heap buffers.
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
+#include <iterator>
 
 #include "simcore/time.h"
+#include "virt/vcpu.h"
 
 namespace atcsim::virt {
 
 class Engine;
-class Vcpu;
 
 class SyncEvent {
  public:
+  /// Forward range over the registered waiters in registration order.
+  class WaiterRange {
+   public:
+    class iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = Vcpu*;
+      using difference_type = std::ptrdiff_t;
+      using pointer = Vcpu* const*;
+      using reference = Vcpu*;
+
+      iterator() = default;
+      explicit iterator(Vcpu* v) : v_(v) {}
+      Vcpu* operator*() const { return v_; }
+      iterator& operator++() {
+        v_ = v_->eng().next_waiter;
+        return *this;
+      }
+      iterator operator++(int) {
+        iterator old = *this;
+        ++*this;
+        return old;
+      }
+      bool operator==(const iterator& o) const { return v_ == o.v_; }
+      bool operator!=(const iterator& o) const { return v_ != o.v_; }
+
+     private:
+      Vcpu* v_ = nullptr;
+    };
+
+    explicit WaiterRange(Vcpu* head) : head_(head) {}
+    iterator begin() const { return iterator(head_); }
+    iterator end() const { return iterator(); }
+    bool empty() const { return head_ == nullptr; }
+
+   private:
+    Vcpu* head_;
+  };
+
   explicit SyncEvent(Engine& engine) : engine_(&engine) {}
   SyncEvent(const SyncEvent&) = delete;
   SyncEvent& operator=(const SyncEvent&) = delete;
+  /// Moves a waiter-free event (BspApp builds its flat barrier ring by
+  /// value).  Nothing ever needs to move a linked list's head, so moving an
+  /// event with waiters is asserted against.
+  SyncEvent(SyncEvent&& o) noexcept
+      : engine_(o.engine_), signalled_(o.signalled_),
+        effect_when_(o.effect_when_), effect_seq_(o.effect_seq_) {
+    assert(o.head_ == nullptr && "moving a SyncEvent with waiters");
+  }
+  SyncEvent& operator=(SyncEvent&&) = delete;
 
   /// Re-homes the event onto another engine (live migration: the owning
   /// workload travels with its VM and must signal waiters through the
@@ -41,36 +94,37 @@ class SyncEvent {
 
   /// Re-arms a consumed event for the next wait/signal cycle.  Only legal
   /// with no waiters registered (i.e. after every woken waiter has
-  /// proceeded); together with the capacity-preserving signal() this makes
-  /// a reset/wait/signal steady state allocation-free.
+  /// proceeded).
   void reset() {
-    assert(waiters_.empty() && "reset() with waiters still registered");
+    assert(head_ == nullptr && "reset() with waiters still registered");
     signalled_ = false;
   }
 
-  /// Pre-sizes both waiter buffers for `n` concurrent waiters.  signal()
-  /// swaps `waiters_` into `scratch_`, so without this an event reaches its
-  /// allocation-free steady state only after *two* wait/signal cycles;
-  /// construction-time reservation removes the warm-up transient entirely.
-  void reserve(std::size_t n) {
-    waiters_.reserve(n);
-    scratch_.reserve(n);
-  }
-
-  /// Engine bookkeeping: registers a waiter (any wait style).  While a
-  /// signal_in timer on this event is pending in the engine's effect index,
-  /// a waiter-set change re-keys the index entry (the entry's key is the
-  /// fire time plus the minimum waiter effect distance); the cold notify
-  /// path stays out of line so the common un-indexed case is one branch.
+  /// Engine bookkeeping: appends a waiter (any wait style) to the FIFO and
+  /// marks it wait_registered until signal() hands it to the engine.  A
+  /// VCPU waits on at most one event at a time, so `v` must not already be
+  /// linked into any event's list.  While a signal_in timer on this event
+  /// is pending in the engine's effect index, a waiter-set change re-keys
+  /// the index entry (the entry's key is the fire time plus the minimum
+  /// waiter effect distance); the cold notify path stays out of line so
+  /// the common un-indexed case is one branch.
   void add_waiter(Vcpu& v) {
-    waiters_.push_back(&v);
+    auto& e = v.eng();
+    assert(!e.wait_registered && "VCPU already on a waiter list");
+    assert(e.next_waiter == nullptr);
+    e.wait_registered = true;
+    if (tail_ == nullptr) {
+      head_ = &v;
+    } else {
+      tail_->eng().next_waiter = &v;
+    }
+    tail_ = &v;
     if (effect_when_ != 0) notify_effect_waiters_changed();
   }
-  void remove_waiter(const Vcpu& v);
 
   /// Currently registered waiters — read by Engine::earliest_effect_time to
   /// bound the network acts a pending timer signal can unleash.
-  const std::vector<Vcpu*>& waiters() const { return waiters_; }
+  WaiterRange waiters() const { return WaiterRange(head_); }
 
   // --- effect-index bookkeeping (Engine::signal_in only) ------------------
   /// Fire time of the pending signal_in timer registered on this event in
@@ -101,8 +155,8 @@ class SyncEvent {
   bool signalled_ = false;
   sim::SimTime effect_when_ = 0;
   std::uint32_t effect_seq_ = 0;
-  std::vector<Vcpu*> waiters_;
-  std::vector<Vcpu*> scratch_;  ///< signal()'s wake list; kept for capacity
+  Vcpu* head_ = nullptr;  ///< first registered waiter (woken first)
+  Vcpu* tail_ = nullptr;  ///< last registered waiter (append point)
 };
 
 }  // namespace atcsim::virt

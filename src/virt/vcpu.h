@@ -96,6 +96,7 @@ class Vcpu {
     sim::SimTime spin_episode_start = 0;///< wall start of current spin wait
     bool in_spin_episode = false;
     bool wait_registered = false;       ///< in its event's waiter list
+    Vcpu* next_waiter = nullptr;        ///< SyncEvent's intrusive FIFO link
     sim::TimerId segment_timer;         ///< compute-finish timer (reusable)
     class Pcpu* on_pcpu = nullptr;      ///< set while kRunning
   };

@@ -53,6 +53,8 @@ class Vm {
 
   /// Adds a VCPU (platform assigns the global id).  Construction-time only.
   Vcpu& add_vcpu(VcpuId id);
+  /// Sizes the VCPU table for `n` add_vcpu calls without regrowth.
+  void reserve_vcpus(std::size_t n) { vcpus_.reserve(n); }
 
   std::vector<std::unique_ptr<Vcpu>>& vcpus() { return vcpus_; }
   const std::vector<std::unique_ptr<Vcpu>>& vcpus() const { return vcpus_; }

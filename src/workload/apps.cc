@@ -103,7 +103,6 @@ virt::Action LoopWorkload::next(virt::Vcpu& /*self*/) {
       case PhaseKind::kThink: {
         if (think_ == nullptr) {
           think_ = std::make_unique<virt::SyncEvent>(net_->engine());
-          think_->reserve(1);
         } else {
           think_->reset();
         }
@@ -118,7 +117,6 @@ virt::Action LoopWorkload::next(virt::Vcpu& /*self*/) {
       case PhaseKind::kIo: {
         if (io_ == nullptr) {
           io_ = std::make_unique<virt::SyncEvent>(net_->engine());
-          io_->reserve(1);
         } else {
           io_->reset();
         }
@@ -151,7 +149,7 @@ void LoopWorkload::on_vm_migrated(virt::Vm& vm, virt::Engine& engine) {
 virt::Action IdleServerWorkload::next(virt::Vcpu& /*self*/) {
   // Created once, then reset-and-reused: a woken waiter implies the event
   // has no registered waiters, so the halted-server steady state performs
-  // no allocations (including the waiter-list growth a fresh event pays).
+  // no allocations.
   if (wait_ == nullptr) {
     wait_ = std::make_unique<virt::SyncEvent>(*engine_);
   } else if (wait_->signalled()) {

@@ -104,62 +104,59 @@ void BspApp::init_slots() {
       }
     }
   }
-  vms_.resize(vm_ptrs_.size());
-  for (std::size_t i = 0; i < vm_ptrs_.size(); ++i) {
-    VmState& vs = vms_[i];
-    vs.vm = vm_ptrs_[i];
-    assert(vm_ptrs_[i]->vcpu_count() == vm_ptrs_[0]->vcpu_count() &&
+  // Construct the whole event ring up front, in one flat allocation;
+  // steady-state supersteps only reset these in place (see the kGenWindow
+  // comment in the header).  Barrier events live on the owning VM's engine:
+  // in a sharded run a spin-wait and its release must both happen on the
+  // VM's own shard.
+  const std::size_t per_vm = kGenWindow * slot_size();
+  const std::size_t ring = vm_ptrs_.size() * per_vm;
+  events_.reserve(ring);
+  for (virt::Vm* vm : vm_ptrs_) {
+    assert(vm->vcpu_count() == vm_ptrs_[0]->vcpu_count() &&
            "all VMs of a virtual cluster have the same VCPU count");
-    // Construct the whole event ring up front; steady-state supersteps only
-    // reset these in place (see the kGenWindow comment in the header).  Each
-    // event can have at most one waiter per rank of its VM, so reserving
-    // that capacity here keeps even the first pass over the ring — the
-    // phase measured by short benchmark windows — allocation-free.
-    const std::size_t max_waiters = vm_ptrs_[i]->vcpu_count();
-    // Barrier events live on the owning VM's engine: in a sharded run a
-    // spin-wait and its release must both happen on the VM's own shard.
-    virt::Engine& engine = vs.vm->node().platform().engine();
-    for (GenSlot& gs : vs.gens) {
-      gs.release = std::make_unique<virt::SyncEvent>(engine);
-      gs.release->reserve(max_waiters);
-      gs.local.reserve(static_cast<std::size_t>(local_count_));
-      for (int seg = 0; seg < local_count_; ++seg) {
-        gs.local.push_back(std::make_unique<virt::SyncEvent>(engine));
-        gs.local.back()->reserve(max_waiters);
-      }
-      gs.local_arrivals.assign(static_cast<std::size_t>(local_count_), 0);
+    virt::Engine& engine = vm->node().platform().engine();
+    for (std::size_t n = 0; n < per_vm; ++n) {
+      events_.emplace_back(engine);
     }
   }
+  arrivals_.assign(ring, 0);
 }
 
 BspApp::~BspApp() = default;
 
 void BspApp::attach() {
+  assert(ranks_.empty() && "attach() runs once");
+  std::size_t total = 0;
+  for (virt::Vm* vm : vm_ptrs_) total += vm->vcpu_count();
+  // Sized once: VCPUs keep raw pointers to their ranks.
+  ranks_.reserve(total);
   int rank = 0;
-  for (std::size_t i = 0; i < vms_.size(); ++i) {
-    for (auto& vcpu : vms_[i].vm->vcpus()) {
-      ranks_.push_back(std::make_unique<BspRank>(
-          *this, static_cast<int>(i), rank,
-          rng_.split(static_cast<std::uint64_t>(rank))));
-      vcpu->set_workload(ranks_.back().get());
+  for (std::size_t i = 0; i < vm_ptrs_.size(); ++i) {
+    for (auto& vcpu : vm_ptrs_[i]->vcpus()) {
+      ranks_.emplace_back(*this, static_cast<int>(i), rank,
+                          rng_.split(static_cast<std::uint64_t>(rank)));
+      vcpu->set_workload(&ranks_.back());
       ++rank;
     }
   }
 }
 
 virt::SyncEvent& BspApp::release_event(int vm_index, std::uint64_t gen) {
-  return *slot(vm_index, gen).release;
+  return events_[slot(vm_index, gen)];
 }
 
 virt::SyncEvent& BspApp::local_round_arrived(int vm_index,
                                              std::uint64_t gen,
                                              int local_index) {
-  GenSlot& gs = slot(vm_index, gen);
-  virt::SyncEvent& ev = *gs.local[static_cast<std::size_t>(local_index)];
-  const int arrived = ++gs.local_arrivals[static_cast<std::size_t>(local_index)];
-  const VmState& vs = vms_[static_cast<std::size_t>(vm_index)];
-  if (arrived == static_cast<int>(vs.vm->vcpu_count())) {
-    gs.local_arrivals[static_cast<std::size_t>(local_index)] = 0;
+  const std::size_t i =
+      slot(vm_index, gen) + 1 + static_cast<std::size_t>(local_index);
+  virt::SyncEvent& ev = events_[i];
+  const int arrived = ++arrivals_[i];
+  if (arrived == static_cast<int>(
+                     vm_ptrs_[static_cast<std::size_t>(vm_index)]
+                         ->vcpu_count())) {
+    arrivals_[i] = 0;
     // Shared-memory barrier: the last local arriver releases it in place.
     ev.signal();
   }
@@ -167,19 +164,19 @@ virt::SyncEvent& BspApp::local_round_arrived(int vm_index,
 }
 
 virt::SyncEvent& BspApp::rank_arrived(int vm_index, std::uint64_t gen) {
-  GenSlot& gs = slot(vm_index, gen);
-  virt::SyncEvent& release = *gs.release;
-  const int arrived = ++gs.arrivals;
-  const VmState& vs = vms_[static_cast<std::size_t>(vm_index)];
-  if (arrived == static_cast<int>(vs.vm->vcpu_count())) {
-    gs.arrivals = 0;
+  const std::size_t i = slot(vm_index, gen);
+  virt::SyncEvent& release = events_[i];
+  const int arrived = ++arrivals_[i];
+  virt::Vm& vm = *vm_ptrs_[static_cast<std::size_t>(vm_index)];
+  if (arrived == static_cast<int>(vm.vcpu_count())) {
+    arrivals_[i] = 0;
     // The last local arriver notifies the coordinator (VM 0) on behalf of
     // its VM, carrying the application's per-superstep exchange volume.
     if (vm_index == 0) {
       coordinator_arrive(gen);
     } else {
-      net_of(*vs.vm).send(*vs.vm, *vms_[0].vm, cfg_.bytes_per_msg,
-                          [this, gen] { coordinator_arrive(gen); });
+      net_of(vm).send(vm, *vm_ptrs_[0], cfg_.bytes_per_msg,
+                      [this, gen] { coordinator_arrive(gen); });
     }
   }
   return release;
@@ -187,7 +184,7 @@ virt::SyncEvent& BspApp::rank_arrived(int vm_index, std::uint64_t gen) {
 
 void BspApp::coordinator_arrive(std::uint64_t gen) {
   const int arrived = ++coord_arrivals_[gen & (kGenWindow - 1)];
-  if (arrived == static_cast<int>(vms_.size())) {
+  if (arrived == static_cast<int>(vm_ptrs_.size())) {
     coord_arrivals_[gen & (kGenWindow - 1)] = 0;
     release_generation(gen);
   }
@@ -196,8 +193,7 @@ void BspApp::coordinator_arrive(std::uint64_t gen) {
 void BspApp::release_generation(std::uint64_t gen) {
   // Superstep timestamps come from the coordinator shard's clock; both ends
   // of every recorded interval are taken here, so they stay consistent.
-  const SimTime now =
-      vms_[0].vm->node().platform().simulation().now();
+  const SimTime now = vm_ptrs_[0]->node().platform().simulation().now();
   if (superstep_rec_ != nullptr) {
     superstep_rec_->record(now - superstep_start_);
   }
@@ -211,12 +207,12 @@ void BspApp::release_generation(std::uint64_t gen) {
   }
 
   release_event(0, gen).signal();
-  for (std::size_t i = 1; i < vms_.size(); ++i) {
-    net_of(*vms_[0].vm).send(*vms_[0].vm, *vms_[i].vm, cfg_.bytes_per_msg,
-                             [this, i, gen] {
-                               release_event(static_cast<int>(i), gen)
-                                   .signal();
-                             });
+  virt::Vm& coord = *vm_ptrs_[0];
+  for (std::size_t i = 1; i < vm_ptrs_.size(); ++i) {
+    net_of(coord).send(coord, *vm_ptrs_[i], cfg_.bytes_per_msg,
+                       [this, i, gen] {
+                         release_event(static_cast<int>(i), gen).signal();
+                       });
   }
 
   // Recycle: by the time generation g is released, every rank has passed
@@ -224,21 +220,21 @@ void BspApp::release_generation(std::uint64_t gen) {
   // that slot in place for generation g+2 — the same liveness window the
   // old erase-based GC enforced, minus the destruction and reallocation.
   if (gen >= 2) {
-    for (auto& vs : vms_) {
-      GenSlot& gs = vs.gens[(gen - 2) & (kGenWindow - 1)];
-      assert(gs.arrivals == 0 && "recycling a generation mid-barrier");
-      gs.release->reset();
-      for (auto& ev : gs.local) ev->reset();
+    for (std::size_t v = 0; v < vm_ptrs_.size(); ++v) {
+      const std::size_t first = slot(static_cast<int>(v), gen - 2);
+      assert(arrivals_[first] == 0 && "recycling a generation mid-barrier");
+      for (std::size_t i = first; i < first + slot_size(); ++i) {
+        events_[i].reset();
+      }
     }
   }
 }
 
 virt::SyncEvent& BspRank::armed_event(
-    std::unique_ptr<virt::SyncEvent>& slot) {
-  if (slot == nullptr) {
+    std::optional<virt::SyncEvent>& slot) {
+  if (!slot.has_value()) {
     virt::Vm& vm = *app_->vm_ptrs_[static_cast<std::size_t>(vm_index_)];
-    slot = std::make_unique<virt::SyncEvent>(vm.node().platform().engine());
-    slot->reserve(1);
+    slot.emplace(vm.node().platform().engine());
   } else {
     slot->reset();
   }

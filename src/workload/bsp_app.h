@@ -22,7 +22,7 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -136,25 +136,19 @@ class BspApp {
   /// generation).
   static constexpr std::uint64_t kGenWindow = 4;
 
-  /// Reusable barrier state for one generation slot of one VM.  Events are
-  /// constructed once at BspApp construction and recycled with
-  /// SyncEvent::reset(); counters self-zero when their barrier completes.
-  struct GenSlot {
-    std::unique_ptr<virt::SyncEvent> release;
-    int arrivals = 0;
-    /// Intra-VM shared-memory barriers, one per local_barrier step.
-    std::vector<std::unique_ptr<virt::SyncEvent>> local;
-    std::vector<int> local_arrivals;
-  };
-
-  struct VmState {
-    virt::Vm* vm = nullptr;
-    std::array<GenSlot, kGenWindow> gens;
-  };
-
-  GenSlot& slot(int vm_index, std::uint64_t gen) {
-    return vms_[static_cast<std::size_t>(vm_index)]
-        .gens[gen & (kGenWindow - 1)];
+  /// Index of generation slot `gen` of VM `vm_index` in the flat ring
+  /// (events_ / arrivals_).  Each slot is a run of 1 + local_count_
+  /// entries: the release event (global barrier) first, then one entry per
+  /// local_barrier step.  Events are constructed once at BspApp
+  /// construction and recycled with SyncEvent::reset(); counters self-zero
+  /// when their barrier completes.
+  std::size_t slot(int vm_index, std::uint64_t gen) const {
+    return (static_cast<std::size_t>(vm_index) * kGenWindow +
+            (gen & (kGenWindow - 1))) *
+           slot_size();
+  }
+  std::size_t slot_size() const {
+    return 1 + static_cast<std::size_t>(local_count_);
   }
 
   /// Network of `vm`'s shard (the platform back-pointer set at attach()).
@@ -165,9 +159,11 @@ class BspApp {
   std::vector<sim::SimTime> effect_dist_;  ///< see effect_distance_from
   int local_count_ = 0;  ///< local_barrier steps per program pass
   sim::Rng rng_;
-  std::vector<VmState> vms_;
   std::vector<virt::Vm*> vm_ptrs_;
-  std::vector<std::unique_ptr<BspRank>> ranks_;
+  /// Barrier ring, sized once: kGenWindow slots per VM, laid out by slot().
+  std::vector<virt::SyncEvent> events_;
+  std::vector<int> arrivals_;  ///< arrival counter per events_ entry
+  std::vector<BspRank> ranks_;  ///< one per VCPU, sized once by attach()
   std::array<int, kGenWindow> coord_arrivals_{};
   std::uint64_t supersteps_done_ = 0;
   sim::SimTime superstep_start_ = 0;
@@ -198,10 +194,10 @@ class BspRank : public virt::Workload {
   }
 
  private:
-  /// Lazily creates (then resets and reuses) a rank-private wait event on
-  /// the owning VM's engine — think timers and disk completions stay
-  /// allocation-free in steady state.
-  virt::SyncEvent& armed_event(std::unique_ptr<virt::SyncEvent>& slot);
+  /// Lazily constructs (then resets and reuses) a rank-private wait event
+  /// on the owning VM's engine — think timers and disk completions never
+  /// touch the allocator.
+  virt::SyncEvent& armed_event(std::optional<virt::SyncEvent>& slot);
 
   BspApp* app_;
   int vm_index_;
@@ -209,8 +205,8 @@ class BspRank : public virt::Workload {
   sim::Rng rng_;
   std::uint64_t gen_ = 0;
   std::size_t pc_ = 0;  ///< next step of app_->program()
-  std::unique_ptr<virt::SyncEvent> think_;
-  std::unique_ptr<virt::SyncEvent> io_;
+  std::optional<virt::SyncEvent> think_;
+  std::optional<virt::SyncEvent> io_;
 };
 
 }  // namespace atcsim::workload

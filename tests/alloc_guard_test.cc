@@ -13,6 +13,8 @@
 #include <new>
 #include <vector>
 
+#include "cluster/scenario.h"
+#include "cluster/scenarios.h"
 #include "net/network.h"
 #include "sched/credit.h"
 #include "simcore/event_queue.h"
@@ -136,10 +138,9 @@ TEST(AllocGuardTest, SimulationLoopSteadyStateIsAllocationFree) {
 }
 
 // dom0's netback service loop: enqueue -> wake (BOOST) -> compute -> apply
-// effect -> idle-block, repeated.  After warm-up (job ring at capacity,
-// idle event's waiter buffers sized) the whole cycle — including the idle
-// transition, which used to heap-allocate a fresh SyncEvent every time —
-// must be allocation-free.
+// effect -> idle-block, repeated.  After warm-up (job ring at capacity)
+// the whole cycle — including the idle transition, which used to
+// heap-allocate a fresh SyncEvent every time — must be allocation-free.
 TEST(AllocGuardTest, Dom0IdleWakeSteadyStateIsAllocationFree) {
   Simulation s;
   atcsim::virt::PlatformConfig pc;
@@ -168,6 +169,32 @@ TEST(AllocGuardTest, Dom0IdleWakeSteadyStateIsAllocationFree) {
   EXPECT_EQ(allocs() - before, 0u)
       << "dom0 idle/wake loop allocated after warm-up";
   EXPECT_EQ(done, 64u + 256u);
+}
+
+// Construction budget: building a type-A lu.B cluster must not cost a heap
+// object per barrier event or per rank.  Barrier rings, arrival counters
+// and ranks are flat per-app vectors and SyncEvent waiter lists are
+// intrusive, so what remains is roughly the Vcpu objects themselves plus
+// per-VM and per-node structures — about 2-3 allocations per VCPU, where a
+// heap-object-per-event layout needs about 10.
+TEST(AllocGuardTest, TypeAConstructionStaysWithinPerVcpuBudget) {
+  const std::uint64_t before = allocs();
+  auto s = atcsim::cluster::ScenarioBuilder{}
+               .nodes(16)
+               .approach(atcsim::cluster::Approach::kATC)
+               .seed(7)
+               .build();
+  atcsim::cluster::build_type_a(*s, "lu", atcsim::workload::NpbClass::kB);
+  s->start();
+  const std::uint64_t made = allocs() - before;
+  const std::size_t vcpus = s->platform().vcpu_count();
+  ASSERT_GT(vcpus, 0u);
+  RecordProperty("allocations", static_cast<int>(made));
+  RecordProperty("vcpus", static_cast<int>(vcpus));
+  const double per_vcpu =
+      static_cast<double>(made) / static_cast<double>(vcpus);
+  EXPECT_LE(per_vcpu, 4.0) << made << " allocations for " << vcpus
+                           << " VCPUs";
 }
 
 }  // namespace

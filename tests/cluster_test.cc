@@ -54,7 +54,9 @@ TEST(TraceTest, SamplerRespectsBudgetAndIsDescending) {
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     total += sizes[i];
     EXPECT_GE(sizes[i], 2);
-    if (i > 0) EXPECT_LE(sizes[i], sizes[i - 1]);
+    if (i > 0) {
+      EXPECT_LE(sizes[i], sizes[i - 1]);
+    }
   }
   EXPECT_LE(total, 64);
   EXPECT_GT(total, 0);

@@ -1,8 +1,10 @@
-// Engine tests: VCPU execution, slices, spin/block waits, mailboxes,
-// context-switch and cache-debt accounting.
+// Engine tests: VCPU execution, slices, spin/block waits, SyncEvent waiter
+// lists, mailboxes, context-switch and cache-debt accounting.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sched/credit.h"
@@ -419,6 +421,157 @@ TEST(SyncEventTest, SignalIsIdempotent) {
   EXPECT_TRUE(ev.signalled());
   ev.signal();  // no effect, no crash
   EXPECT_TRUE(ev.signalled());
+}
+
+// Runs a script of actions; each next() call is logged with the VCPU's
+// index, so the log shows the order in which waiters were released.
+// `on_step` (optional) runs before the step's action is returned.
+class LoggingWorkload : public virt::Workload {
+ public:
+  LoggingWorkload(std::vector<int>* log, std::vector<Action> script)
+      : log_(log), script_(std::move(script)) {}
+
+  Action next(Vcpu& self) override {
+    log_->push_back(self.index_in_vm());
+    if (on_step) on_step(step_);
+    if (step_ >= script_.size()) return Action::exit();
+    return script_[step_++];
+  }
+  std::string name() const override { return "logging"; }
+
+  std::function<void(std::size_t)> on_step;
+
+ private:
+  std::vector<int>* log_;
+  std::vector<Action> script_;
+  std::size_t step_ = 0;
+};
+
+std::vector<int> waiter_indices(const virt::SyncEvent& ev) {
+  std::vector<int> out;
+  for (const Vcpu* v : ev.waiters()) out.push_back(v->index_in_vm());
+  return out;
+}
+
+TEST(SyncEventTest, WakesWaitersInRegistrationOrder) {
+  // Three spinners, each on its own PCPU, register in the order their
+  // lead-in compute finishes (1, 2, 0) — neither VCPU index order nor its
+  // reverse.  A running spinner proceeds inside signal(), so the order of
+  // the next() calls it triggers is the wake order.
+  Rig rig(3, 1, exact_params());
+  virt::Vm& vm = rig.vm(0, 3);
+  virt::SyncEvent ev(rig.platform->engine());
+  std::vector<int> log;
+  const sim::SimTime lead[3] = {3_ms, 1_ms, 2_ms};
+  std::vector<std::unique_ptr<LoggingWorkload>> ws;
+  for (int i = 0; i < 3; ++i) {
+    ws.push_back(std::make_unique<LoggingWorkload>(
+        &log, std::vector<Action>{Action::compute(lead[i]),
+                                  Action::spin_wait(ev),
+                                  Action::compute(1_ms)}));
+    vm.vcpus()[static_cast<std::size_t>(i)]->set_workload(ws.back().get());
+  }
+  rig.start();
+  rig.simulation.run_until(5_ms);
+  for (const auto& v : vm.vcpus()) ASSERT_TRUE(v->running());
+  EXPECT_EQ(waiter_indices(ev), (std::vector<int>{1, 2, 0}));
+
+  log.clear();
+  ev.signal();
+  EXPECT_EQ(log, (std::vector<int>{1, 2, 0}));
+  EXPECT_TRUE(ev.waiters().empty());
+  for (const auto& v : vm.vcpus()) {
+    EXPECT_FALSE(v->eng().wait_registered);
+    EXPECT_EQ(v->eng().next_waiter, nullptr);
+  }
+}
+
+TEST(SyncEventTest, WaiterReRegisteringWhileWokenWaitsForNextSignal) {
+  // VCPU 0 re-arms the event from inside its wake-up and spins on it again;
+  // it must land in a fresh list, so the first signal still releases VCPU 1
+  // exactly once and does not loop back to VCPU 0.
+  Rig rig(2, 1, exact_params());
+  virt::Vm& vm = rig.vm(0, 2);
+  virt::SyncEvent ev(rig.platform->engine());
+  std::vector<int> log;
+  LoggingWorkload w0(&log, {Action::spin_wait(ev), Action::spin_wait(ev),
+                            Action::compute(1_ms)});
+  LoggingWorkload w1(&log, {Action::compute(1_ms), Action::spin_wait(ev),
+                            Action::compute(1_ms)});
+  w0.on_step = [&](std::size_t step) {
+    if (step == 1) ev.reset();  // woken from the first wait: re-arm
+  };
+  vm.vcpus()[0]->set_workload(&w0);
+  vm.vcpus()[1]->set_workload(&w1);
+  rig.start();
+  rig.simulation.run_until(5_ms);
+  ASSERT_EQ(waiter_indices(ev), (std::vector<int>{0, 1}));
+
+  log.clear();
+  ev.signal();
+  EXPECT_EQ(log, (std::vector<int>{0, 1}));
+  EXPECT_FALSE(ev.signalled());  // re-armed by VCPU 0
+  EXPECT_EQ(waiter_indices(ev), (std::vector<int>{0}));
+  EXPECT_TRUE(vm.vcpus()[0]->eng().wait_registered);
+  EXPECT_FALSE(vm.vcpus()[1]->eng().wait_registered);
+
+  log.clear();
+  ev.signal();
+  EXPECT_EQ(log, (std::vector<int>{0}));
+  EXPECT_TRUE(ev.waiters().empty());
+}
+
+TEST(SyncEventTest, ResetAfterSignalLeavesEmptyList) {
+  Rig rig(1);
+  virt::Vm& vm = rig.vm(0, 3);
+  virt::SyncEvent ev(rig.platform->engine());
+  for (auto& v : vm.vcpus()) ev.add_waiter(*v);
+  EXPECT_EQ(waiter_indices(ev), (std::vector<int>{0, 1, 2}));
+  ev.signal();
+  EXPECT_TRUE(ev.waiters().empty());
+  ev.reset();
+  EXPECT_FALSE(ev.signalled());
+  EXPECT_TRUE(ev.waiters().empty());
+  // The VCPUs are free to wait again, in a new order.
+  ev.add_waiter(*vm.vcpus()[2]);
+  ev.add_waiter(*vm.vcpus()[0]);
+  EXPECT_EQ(waiter_indices(ev), (std::vector<int>{2, 0}));
+}
+
+TEST(SyncEventTest, WaiterFreeEventMoves) {
+  Rig rig(1);
+  virt::SyncEvent ev(rig.platform->engine());
+  ev.signal();
+  virt::SyncEvent moved(std::move(ev));
+  EXPECT_TRUE(moved.signalled());
+  EXPECT_TRUE(moved.waiters().empty());
+}
+
+TEST(SyncEventDeathTest, SecondRegistrationWhileLinkedAsserts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "asserts are compiled out (NDEBUG)";
+#else
+  Rig rig(1);
+  virt::Vm& vm = rig.vm(0, 1);
+  virt::SyncEvent a(rig.platform->engine());
+  virt::SyncEvent b(rig.platform->engine());
+  a.add_waiter(*vm.vcpus()[0]);
+  EXPECT_DEATH(a.add_waiter(*vm.vcpus()[0]), "already on a waiter list");
+  EXPECT_DEATH(b.add_waiter(*vm.vcpus()[0]), "already on a waiter list");
+#endif
+}
+
+TEST(SyncEventDeathTest, MovingEventWithWaitersAsserts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "asserts are compiled out (NDEBUG)";
+#else
+  Rig rig(1);
+  virt::Vm& vm = rig.vm(0, 1);
+  virt::SyncEvent ev(rig.platform->engine());
+  ev.add_waiter(*vm.vcpus()[0]);
+  EXPECT_DEATH({ virt::SyncEvent moved(std::move(ev)); },
+               "moving a SyncEvent with waiters");
+#endif
 }
 
 TEST(VmTest, FirstBlockedAndAnyRunning) {

@@ -164,10 +164,10 @@ TEST(NetAllocGuardTest, BspSuperstepCycleSteadyStateIsAllocationFree) {
   }
   platform.engine().start();
 
-  // Warm-up must cover >= 2 uses of every generation slot (8 supersteps for
-  // the 4-slot ring): SyncEvent::signal swaps its waiter list into a scratch
-  // buffer, so an event's *two* buffers only both reach capacity after two
-  // signal cycles.
+  // Warm-up lets the packet pools, job rings and mailboxes reach their
+  // high-water size, and cycles every slot of the 4-generation barrier ring
+  // more than twice; the barrier events themselves never allocate (their
+  // waiter lists are intrusive).
   simulation.run_until(500_ms);
   const std::uint64_t done0 = app.supersteps_completed();
   ASSERT_GT(done0, 9u) << "warm-up did not complete enough supersteps";

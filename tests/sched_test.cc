@@ -370,5 +370,76 @@ TEST(MonitorTest, SubscribersInvokedEveryPeriod) {
   EXPECT_EQ(calls[2], 3u);
 }
 
+TEST(MonitorTest, DetachKeepsOrderAndSweepSemantics) {
+  // Six subscribers; the front, a middle and the back one detach before
+  // the first period.  In period 2 subscriber 1 detaches one still ahead
+  // in the sweep (3, skipped) and subscriber 4 detaches one already run
+  // (1) and subscribes a newcomer (6, first run in period 3).
+  SchedRig rig(1);
+  rig.cpu_vm(5_ms);
+  sync::PeriodMonitor monitor(*rig.platform);
+  std::vector<std::vector<int>> log(4);
+  std::vector<sync::PeriodMonitor::Subscription> subs;
+  subs.reserve(8);
+  auto labelled = [&](int label) {
+    return [&log, label](std::uint64_t idx) { log[idx].push_back(label); };
+  };
+  for (int label = 0; label < 6; ++label) {
+    if (label == 1) {
+      subs.push_back(monitor.subscribe([&](std::uint64_t idx) {
+        log[idx].push_back(1);
+        if (idx == 2) subs[3].reset();
+      }));
+    } else if (label == 4) {
+      subs.push_back(monitor.subscribe([&](std::uint64_t idx) {
+        log[idx].push_back(4);
+        if (idx == 2) {
+          subs[1].reset();
+          subs.push_back(monitor.subscribe(labelled(6)));
+        }
+      }));
+    } else {
+      subs.push_back(monitor.subscribe(labelled(label)));
+    }
+  }
+  subs[0].reset();
+  subs[2].reset();
+  subs[5].reset();
+  EXPECT_EQ(monitor.subscriber_count(), 3u);
+
+  monitor.start();
+  rig.start(std::make_unique<sched::CreditScheduler>());
+  rig.simulation.run_until(100_ms);
+
+  EXPECT_EQ(log[1], (std::vector<int>{1, 3, 4}));
+  EXPECT_EQ(log[2], (std::vector<int>{1, 4}));
+  EXPECT_EQ(log[3], (std::vector<int>{4, 6}));
+  EXPECT_EQ(monitor.subscriber_count(), 2u);
+  EXPECT_FALSE(subs[1].active());
+  EXPECT_TRUE(subs[6].active());
+}
+
+TEST(MonitorTest, SelfDetachDuringSweepAndLateHandleReset) {
+  SchedRig rig(1);
+  rig.cpu_vm(5_ms);
+  auto monitor = std::make_unique<sync::PeriodMonitor>(*rig.platform);
+  std::vector<int> calls;
+  sync::PeriodMonitor::Subscription self;
+  self = monitor->subscribe([&](std::uint64_t) {
+    calls.push_back(0);
+    self.reset();  // detaches the callback that is running
+  });
+  auto tail = monitor->subscribe([&](std::uint64_t) { calls.push_back(1); });
+  monitor->start();
+  rig.start(std::make_unique<sched::CreditScheduler>());
+  rig.simulation.run_until(70_ms);
+  EXPECT_EQ(calls, (std::vector<int>{0, 1, 1}));
+  EXPECT_EQ(monitor->subscriber_count(), 1u);
+  // Handles may outlive the monitor; resetting one then is a no-op.
+  monitor.reset();
+  EXPECT_FALSE(tail.active());
+  tail.reset();
+}
+
 }  // namespace
 }  // namespace atcsim
