@@ -15,7 +15,9 @@
 //    `projected_wall_s = wall_s - serial_s + critical_s` is the wall time a
 //    host with >= K free cores cannot beat and a perfectly balanced one
 //    achieves.  "speedup_projected.sK" = measured s1 wall / projected sK
-//    wall.
+//    wall.  Only runs whose shards shared one worker thread carry a
+//    projection: with more threads serial_s sums work that already ran in
+//    parallel (exp::projected_wall_s).
 //
 //   pdes_report                         # print the run record to stdout
 //   pdes_report --label x --append ../BENCH_pdes.json
@@ -31,6 +33,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -48,6 +51,7 @@ using namespace sim::time_literals;
 struct ShardRun {
   int shards = 1;
   std::size_t threads = 0;      // 0 = auto (min(shards, host cores))
+  std::size_t ran_threads = 1;  // worker threads the run actually used
   std::uint64_t events = 0;
   double wall_s = 0;            // best-of-N measured wall (this host)
   std::uint64_t rounds = 0;
@@ -55,7 +59,7 @@ struct ShardRun {
   double critical_s = 0;        // sum over rounds of the slowest shard
   double serial_s = 0;          // sum over rounds of all shards' advance work
   double barrier_wait_s = 0;    // coordinator join-wait (fork-join overhead)
-  double projected_wall_s = 0;  // wall_s - serial_s + critical_s
+  std::optional<double> projected_wall_s;  // single-thread runs only
   std::uint64_t bound_recomputes = 0;  // effect-bound VM recomputations
   std::uint64_t bound_cache_hits = 0;  // dirty-ring skips (cached bounds)
 };
@@ -89,6 +93,7 @@ ShardRun run_macro(int shards, std::size_t threads, int nodes,
       best.wall_s = wall;
       best.events = s->events_executed();
       if (const sim::ShardGroup* g = s->shard_group()) {
+        best.ran_threads = g->thread_count();
         best.rounds = g->stats().rounds;
         best.horizon_extensions = g->stats().horizon_extensions;
         best.critical_s = g->stats().critical_s;
@@ -101,7 +106,8 @@ ShardRun run_macro(int shards, std::size_t threads, int nodes,
   }
   // Unsharded runs have no round accounting: the projection is the
   // measurement.  (critical_s <= serial_s always, so projected <= wall.)
-  best.projected_wall_s = best.wall_s - best.serial_s + best.critical_s;
+  best.projected_wall_s = exp::projected_wall_s(
+      best.ran_threads, best.wall_s, best.serial_s, best.critical_s);
   return best;
 }
 
@@ -109,10 +115,6 @@ void emit_shard_run(std::ostringstream& os, int nodes, const ShardRun& r,
                     bool last) {
   const double per_sec =
       r.wall_s > 0 ? static_cast<double>(r.events) / r.wall_s : 0;
-  const double projected_per_sec =
-      r.projected_wall_s > 0
-          ? static_cast<double>(r.events) / r.projected_wall_s
-          : 0;
   os << "      \"macro_lu" << nodes << "_s" << r.shards;
   if (r.threads != 0) os << "_t" << r.threads;
   os << "\": {\"per_sec\": " << rb::json_number(per_sec)
@@ -122,10 +124,14 @@ void emit_shard_run(std::ostringstream& os, int nodes, const ShardRun& r,
      << ", \"horizon_extensions\": " << r.horizon_extensions
      << ", \"critical_s\": " << rb::json_number(r.critical_s)
      << ", \"serial_s\": " << rb::json_number(r.serial_s)
-     << ", \"barrier_wait_s\": " << rb::json_number(r.barrier_wait_s)
-     << ", \"projected_wall_s\": " << rb::json_number(r.projected_wall_s)
-     << ", \"projected_per_sec\": " << rb::json_number(projected_per_sec)
-     << ", \"bound_recomputes\": " << r.bound_recomputes
+     << ", \"barrier_wait_s\": " << rb::json_number(r.barrier_wait_s);
+  if (r.projected_wall_s.has_value() && *r.projected_wall_s > 0) {
+    os << ", \"projected_wall_s\": " << rb::json_number(*r.projected_wall_s)
+       << ", \"projected_per_sec\": "
+       << rb::json_number(static_cast<double>(r.events) /
+                          *r.projected_wall_s);
+  }
+  os << ", \"bound_recomputes\": " << r.bound_recomputes
      << ", \"bound_cache_hits\": " << r.bound_cache_hits
      << "}" << (last ? "\n" : ",\n");
 }
@@ -247,7 +253,8 @@ int main(int argc, char** argv) {
       << "      \"methodology\": \"projected_wall_s = wall_s - serial_s + "
          "critical_s: the summed advance time of all shards is replaced by "
          "the per-round slowest shard, the span a host with >= K cores "
-         "cannot beat; measured numbers are from this host_cores host\",\n";
+         "cannot beat; only runs on one worker thread are projected; "
+         "measured numbers are from this host_cores host\",\n";
   for (const ShardRun& r : runs) emit_shard_run(run, nodes, r, false);
   for (const ShardRun& r : thread_runs) emit_shard_run(run, nodes, r, false);
   for (const ShardRun& r : large_runs) emit_shard_run(run, 4096, r, false);
@@ -259,9 +266,12 @@ int main(int argc, char** argv) {
         << "\": " << rb::json_number(base_wall / runs[i].wall_s);
   }
   run << "},\n      \"speedup_projected\": {";
+  const char* sep = "";
   for (std::size_t i = 1; i < runs.size(); ++i) {
-    run << (i > 1 ? ", " : "") << "\"s" << runs[i].shards
-        << "\": " << rb::json_number(base_wall / runs[i].projected_wall_s);
+    if (!runs[i].projected_wall_s.has_value()) continue;
+    run << sep << "\"s" << runs[i].shards
+        << "\": " << rb::json_number(base_wall / *runs[i].projected_wall_s);
+    sep = ", ";
   }
   run << "}\n    }";
 

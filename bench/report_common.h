@@ -34,16 +34,25 @@ namespace atcsim::bench {
 inline std::atomic<std::uint64_t> g_allocs{0};
 }  // namespace atcsim::bench
 
-void* operator new(std::size_t n) {
+// noinline: once inlined, GCC sees a malloc paired with ::operator delete
+// (or a new[] with delete) at call sites and raises
+// -Wmismatched-new-delete; kept out of line the pairs stay opaque.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   atcsim::bench::g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void* operator new[](std::size_t n) {
+  return ::operator new(n);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace atcsim::bench {
 

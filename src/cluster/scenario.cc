@@ -233,20 +233,6 @@ std::vector<virt::Vm*> Scenario::create_cluster_vms(
 }
 
 workload::BspApp& Scenario::add_bsp_app(const std::string& key,
-                                        const workload::BspConfig& cfg,
-                                        std::vector<virt::Vm*> vms) {
-  assert(!started_);
-  auto& superstep = metrics_->durations(key + "/superstep");
-  auto& iteration = metrics_->durations(key + "/iteration");
-  bsp_apps_.push_back(std::make_unique<workload::BspApp>(
-      std::move(vms), cfg, app_rng().split(std::hash<std::string>{}(key)),
-      &superstep, &iteration));
-  bsp_apps_.back()->attach();
-  bsp_keys_.push_back(key);
-  return *bsp_apps_.back();
-}
-
-workload::BspApp& Scenario::add_bsp_app(const std::string& key,
                                         const workload::Descriptor& desc,
                                         std::vector<virt::Vm*> vms) {
   assert(!started_);
@@ -258,16 +244,6 @@ workload::BspApp& Scenario::add_bsp_app(const std::string& key,
   bsp_apps_.back()->attach();
   bsp_keys_.push_back(key);
   return *bsp_apps_.back();
-}
-
-void Scenario::add_identical_clusters(const workload::BspConfig& cfg) {
-  for (int j = 0; j < config_.vms_per_node; ++j) {
-    std::vector<int> placement;
-    for (int n = 0; n < config_.nodes; ++n) placement.push_back(n);
-    auto vms = create_cluster_vms(cfg.name + "-vc" + std::to_string(j),
-                                  placement);
-    add_bsp_app(cfg.name + "/vc" + std::to_string(j), cfg, std::move(vms));
-  }
 }
 
 void Scenario::add_identical_clusters(const workload::Descriptor& desc) {
@@ -293,22 +269,7 @@ void Scenario::add_identical_clusters(const workload::Descriptor& desc) {
   }
 }
 
-virt::Vm& Scenario::add_cpu_vm(int node,
-                               const workload::CpuBoundWorkload::Config& cfg,
-                               const std::string& key) {
-  assert(!started_);
-  virt::Vm& vm = platform_of_node(node).create_vm(
-      local_node_id(node), virt::VmType::kNonParallel, key,
-      config_.vcpus_per_vm);
-  register_vm(vm, node);
-  workloads_.push_back(std::make_unique<workload::CpuBoundWorkload>(
-      cfg, app_rng().split(std::hash<std::string>{}(key)),
-      &metrics_->rate(key)));
-  vm.vcpus()[0]->set_workload(workloads_.back().get());
-  return vm;
-}
-
-virt::Vm& Scenario::add_loop_vm(int node, const workload::Descriptor& desc,
+virt::Vm& Scenario::add_loop_vm(int node, workload::Descriptor desc,
                                 const std::string& key) {
   assert(!started_);
   virt::Vm& vm = platform_of_node(node).create_vm(
@@ -316,8 +277,8 @@ virt::Vm& Scenario::add_loop_vm(int node, const workload::Descriptor& desc,
       config_.vcpus_per_vm);
   register_vm(vm, node);
   workloads_.push_back(std::make_unique<workload::LoopWorkload>(
-      net_of(vm), vm, desc, app_rng().split(std::hash<std::string>{}(key)),
-      &metrics_->rate(key)));
+      net_of(vm), vm, std::move(desc),
+      app_rng().split(std::hash<std::string>{}(key)), &metrics_->rate(key)));
   vm.vcpus()[0]->set_workload(workloads_.back().get());
   return vm;
 }

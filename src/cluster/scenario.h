@@ -82,33 +82,25 @@ class Scenario {
   std::vector<virt::Vm*> create_cluster_vms(const std::string& name,
                                             const std::vector<int>& node_for_vm);
 
-  /// Binds a BSP application to cluster VMs; recorders are registered under
-  /// `key` ("<key>/superstep", "<key>/iteration").
-  workload::BspApp& add_bsp_app(const std::string& key,
-                                const workload::BspConfig& cfg,
-                                std::vector<virt::Vm*> vms);
-  /// Same, built from a parallel (barrier-terminated) descriptor.
+  /// Binds a BSP application, compiled from a parallel (barrier-terminated)
+  /// descriptor, to cluster VMs; recorders are registered under `key`
+  /// ("<key>/superstep", "<key>/iteration").
   workload::BspApp& add_bsp_app(const std::string& key,
                                 const workload::Descriptor& desc,
                                 std::vector<virt::Vm*> vms);
 
-  /// Four identical virtual clusters: cluster j = VM j of every node
-  /// (the paper's type-A and motivation layout).  Keys "<name>/vc<j>".
-  void add_identical_clusters(const workload::BspConfig& cfg);
-  /// Descriptor dispatch: a parallel descriptor lays out exactly like the
-  /// BspConfig overload (same VM names and app keys, so an npb_descriptor
-  /// run is byte-identical to its legacy twin); a loop descriptor fills
-  /// every (node, slot) with an independent single-VCPU LoopWorkload VM
-  /// under keys "<name>/vc<j>/n<i>".
+  /// The paper's type-A and motivation layout.  A parallel descriptor
+  /// becomes identical virtual clusters, one per VM slot: cluster j = VM j
+  /// of every node, app key "<name>/vc<j>".  A loop descriptor fills every
+  /// (node, slot) with an independent single-VCPU LoopWorkload VM under
+  /// keys "<name>/vc<j>/n<i>".
   void add_identical_clusters(const workload::Descriptor& desc);
 
-  /// Independent non-parallel VMs (one app VCPU each).
-  virt::Vm& add_cpu_vm(int node, const workload::CpuBoundWorkload::Config& cfg,
-                       const std::string& key);
-  /// One LoopWorkload VM interpreting a loop (non-barrier) descriptor;
-  /// work-rate units recorded under `key` when the descriptor sets
-  /// rate_units.
-  virt::Vm& add_loop_vm(int node, const workload::Descriptor& desc,
+  /// Independent non-parallel VMs (one app VCPU each).  add_loop_vm runs a
+  /// LoopWorkload interpreting a loop (non-barrier) descriptor, e.g.
+  /// workload::cpu_descriptor("gcc"); work-rate units are recorded under
+  /// `key` when the descriptor sets rate_units.
+  virt::Vm& add_loop_vm(int node, workload::Descriptor desc,
                         const std::string& key);
   virt::Vm& add_disk_vm(int node, const std::string& key);
   /// Pinger on node_a, echo peer on node_b.  RTT recorded under `key`.

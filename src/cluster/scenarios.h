@@ -16,9 +16,9 @@ void build_type_a(Scenario& s, const std::string& app,
                   workload::NpbClass cls);
 
 /// Type-A layout from a workload descriptor: parallel descriptors become
-/// the identical virtual-cluster grid (an npb_descriptor run is
-/// byte-identical to its legacy twin); loop descriptors fill the same VM
-/// slots with independent single-VCPU interpreters.
+/// the identical virtual-cluster grid (build_type_a(s, app, cls) is the
+/// npb_descriptor case); loop descriptors fill the same VM slots with
+/// independent single-VCPU interpreters.
 void build_type_a(Scenario& s, const workload::Descriptor& desc);
 
 /// Evaluation type B (Sec. IV-B2): virtual clusters sized from the Atlas

@@ -32,6 +32,12 @@ bool trace_requested(int argc, char** argv) {
   return env != nullptr && std::strcmp(env, "0") != 0;
 }
 
+std::optional<double> projected_wall_s(std::size_t threads, double wall_s,
+                                       double serial_s, double critical_s) {
+  if (threads != 1) return std::nullopt;
+  return wall_s - serial_s + critical_s;
+}
+
 void set_global_guest_slice(cluster::Scenario& s, sim::SimTime slice) {
   for (virt::Vm* vm : s.guest_vms()) vm->set_time_slice(slice);
 }

@@ -5,6 +5,8 @@
 // tighter statistics.
 #pragma once
 
+#include <cstddef>
+#include <optional>
 #include <string>
 
 #include "cluster/scenario.h"
@@ -29,5 +31,14 @@ void set_global_guest_slice(cluster::Scenario& s, sim::SimTime slice);
 /// passed, or ATCSIM_TRACE is set to anything but "0".  Set
 /// SweepSpec::trace from this in figure benches.
 bool trace_requested(int argc, char** argv);
+
+/// Critical-path projection of a sharded run: `wall_s - serial_s +
+/// critical_s` replaces the summed advance work of all shards (serial_s)
+/// with the per-round slowest shard (critical_s).  It holds only when the
+/// shards ran on one thread, so serial_s was really spent one shard after
+/// another; with `threads` > 1 the shards already overlapped and the formula
+/// subtracts parallel work twice, so no projection exists (std::nullopt).
+std::optional<double> projected_wall_s(std::size_t threads, double wall_s,
+                                       double serial_s, double critical_s);
 
 }  // namespace atcsim::exp

@@ -1,71 +1,49 @@
 #include "workload/apps.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace atcsim::workload {
 
 using sim::SimTime;
 
-// ---------------------------------------------------------- CpuBoundWorkload
+// ------------------------------------------------------------ cpu_descriptor
 
-virt::Action CpuBoundWorkload::next(virt::Vcpu& /*self*/) {
-  if (last_chunk_ > 0 && counter_ != nullptr) {
-    counter_->add(sim::to_seconds(last_chunk_) *
-                  cfg_.units_per_second_of_work);
+namespace {
+
+struct CpuProfile {
+  const char* name;
+  SimTime chunk;
+  double cache_sens;
+  double rate_units;  // units credited per second of completed compute
+};
+
+constexpr CpuProfile kCpuProfiles[] = {
+    {"sphinx3", 1'500'000 /*1.5ms*/, 12.0, 1.0},  // large acoustic model
+    {"gcc", 2'000'000 /*2ms*/, 8.0, 1.0},
+    {"bzip2", 3'000'000 /*3ms*/, 5.0, 1.0},
+    // ~12 GB/s of triad traffic per busy second, reported in MB.
+    {"stream", 500'000 /*0.5ms*/, 6.0, 12'000.0},
+};
+
+}  // namespace
+
+Descriptor cpu_descriptor(const std::string& name) {
+  for (const CpuProfile& p : kCpuProfiles) {
+    if (name != p.name) continue;
+    Descriptor d;
+    d.name = name;
+    d.cache_sensitivity = p.cache_sens;
+    d.rate_units = p.rate_units;
+    Phase chunk;
+    chunk.kind = PhaseKind::kCompute;
+    chunk.duration = p.chunk;
+    chunk.jitter = 0.05;
+    d.phases.push_back(chunk);
+    return d;
   }
-  last_chunk_ = rng_.jittered(cfg_.chunk, cfg_.jitter);
-  return virt::Action::compute(last_chunk_);
-}
-
-CpuBoundWorkload::Config CpuBoundWorkload::sphinx3() {
-  Config c;
-  c.name = "sphinx3";
-  c.chunk = 1'500'000;  // 1.5 ms
-  c.cache_sens = 12.0;  // large acoustic-model working set
-  return c;
-}
-
-CpuBoundWorkload::Config CpuBoundWorkload::gcc() {
-  Config c;
-  c.name = "gcc";
-  c.chunk = 2'000'000;  // 2 ms
-  c.cache_sens = 8.0;
-  return c;
-}
-
-CpuBoundWorkload::Config CpuBoundWorkload::bzip2() {
-  Config c;
-  c.name = "bzip2";
-  c.chunk = 3'000'000;  // 3 ms
-  c.cache_sens = 5.0;
-  return c;
-}
-
-CpuBoundWorkload::Config CpuBoundWorkload::stream() {
-  Config c;
-  c.name = "stream";
-  c.chunk = 500'000;  // 0.5 ms
-  c.cache_sens = 6.0;
-  // ~12 GB/s of triad traffic per busy second, reported in MB.
-  c.units_per_second_of_work = 12'000.0;
-  return c;
-}
-
-Descriptor CpuBoundWorkload::descriptor(const Config& cfg) {
-  Descriptor d;
-  d.name = cfg.name;
-  d.cache_sensitivity = cfg.cache_sens;
-  d.rate_units = cfg.units_per_second_of_work;
-  Phase p;
-  p.kind = PhaseKind::kCompute;
-  p.duration = cfg.chunk;
-  p.jitter = cfg.jitter;
-  d.phases.push_back(p);
-  if (const std::string err = d.validate(); !err.empty()) {
-    throw DescriptorError(err);
-  }
-  return d;
+  throw std::invalid_argument("unknown CPU application: " + name);
 }
 
 // -------------------------------------------------------------- LoopWorkload
@@ -73,29 +51,32 @@ Descriptor CpuBoundWorkload::descriptor(const Config& cfg) {
 LoopWorkload::LoopWorkload(net::VirtualNetwork& net, virt::Vm& self_vm,
                            Descriptor desc, sim::Rng rng,
                            metrics::RateCounter* counter)
-    : net_(&net), vm_(&self_vm), desc_(std::move(desc)), rng_(rng),
-      counter_(counter) {
-  if (const std::string err = desc_.validate(); !err.empty()) {
+    : rng_(rng), counter_(counter), rate_units_(desc.rate_units),
+      cache_sensitivity_(desc.cache_sensitivity), net_(&net),
+      vm_(&self_vm) {
+  if (const std::string err = desc.validate(); !err.empty()) {
     throw DescriptorError(err);
   }
-  if (desc_.parallel()) {
+  if (desc.parallel()) {
     throw DescriptorError("LoopWorkload needs a loop (non-barrier) "
                           "descriptor; '" +
-                          desc_.name + "' ends in a barrier phase");
+                          desc.name + "' ends in a barrier phase");
   }
+  only_ = desc.phases.front();
+  phases_ = std::move(desc.phases);
+  name_ = std::move(desc.name);
 }
 
 virt::Action LoopWorkload::next(virt::Vcpu& /*self*/) {
-  // Same accounting as CpuBoundWorkload: the chunk completed by reaching
-  // this call is credited before the next one is drawn, so a
-  // single-compute descriptor reproduces its unit stream exactly.
+  // The compute chunk completed by reaching this call is credited before
+  // the next phase is drawn.
   if (last_compute_ > 0 && counter_ != nullptr) {
-    counter_->add(sim::to_seconds(last_compute_) * desc_.rate_units);
+    counter_->add(sim::to_seconds(last_compute_) * rate_units_);
     last_compute_ = 0;
   }
   for (;;) {
-    const Phase& p = desc_.phases[pc_];
-    pc_ = (pc_ + 1) % desc_.phases.size();
+    const Phase& p = phases_.size() == 1 ? only_ : phases_[pc_];
+    if (++pc_ == phases_.size()) pc_ = 0;
     switch (p.kind) {
       case PhaseKind::kCompute:
         last_compute_ = rng_.jittered(p.duration, p.jitter);

@@ -7,6 +7,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "metrics/recorders.h"
 #include "net/network.h"
@@ -19,54 +20,18 @@ namespace atcsim::workload {
 
 using namespace sim::time_literals;
 
-/// CPU-bound loop (sphinx3 / gcc / bzip2 / stream).  Counts completed work
-/// into a RateCounter; effective throughput vs. CR gives the paper's
-/// normalized execution time for fixed-work applications.
-class CpuBoundWorkload : public virt::Workload {
- public:
-  struct Config {
-    std::string name = "cpu";
-    sim::SimTime chunk = 2 * sim::kMillisecond;
-    double jitter = 0.05;
-    double cache_sens = 1.2;
-    /// Units credited per completed chunk-second (1.0 = CPU-seconds; stream
-    /// uses bytes-derived units).
-    double units_per_second_of_work = 1.0;
-  };
-
-  CpuBoundWorkload(Config cfg, sim::Rng rng, metrics::RateCounter* counter)
-      : cfg_(std::move(cfg)), rng_(rng), counter_(counter) {}
-
-  virt::Action next(virt::Vcpu& self) override;
-  double cache_sensitivity() const override { return cfg_.cache_sens; }
-  /// Pure compute loop: never touches the network.
-  sim::SimTime effect_distance() const override { return sim::kTimeNever; }
-  std::string name() const override { return cfg_.name; }
-  /// No node-local state at all: safe to move at any instant.
-  bool migratable() const override { return true; }
-
-  /// Canned SPEC CPU 2006 profiles.
-  static Config sphinx3();
-  static Config gcc();
-  static Config bzip2();
-  static Config stream();  ///< units = MB of triad traffic
-
-  /// The descriptor twin of `cfg`: a single-compute loop descriptor whose
-  /// LoopWorkload interpretation credits the identical unit stream.
-  static Descriptor descriptor(const Config& cfg);
-
- private:
-  Config cfg_;
-  sim::Rng rng_;
-  metrics::RateCounter* counter_;
-  sim::SimTime last_chunk_ = 0;
-};
+/// Loop descriptor of a SPEC CPU 2006 guest ("sphinx3", "gcc", "bzip2") or
+/// of "stream": one jittered compute chunk per step.  rate_units credits
+/// CPU-seconds for the SPEC codes and MB of triad traffic for stream, so
+/// throughput against CR gives the paper's normalized execution time for
+/// fixed-work applications.  Throws std::invalid_argument for any other
+/// name.
+Descriptor cpu_descriptor(const std::string& name);
 
 /// Interpreter for loop (non-barrier) descriptors: one VCPU cycling through
-/// compute / think / io phases.  Subsumes CpuBoundWorkload shapes (a
-/// single-compute program with rate_units credits the identical unit
-/// stream) and adds blocked think time and blkback I/O bursts, so
-/// non-parallel guests are descriptor instances too.
+/// compute / think / io phases, crediting rate_units per second of
+/// completed compute.  CPU-bound guests (cpu_descriptor) are the
+/// single-compute case.
 class LoopWorkload : public virt::Workload {
  public:
   /// Throws DescriptorError when `desc` is invalid or parallel
@@ -75,14 +40,12 @@ class LoopWorkload : public virt::Workload {
                sim::Rng rng, metrics::RateCounter* counter);
 
   virt::Action next(virt::Vcpu& self) override;
-  double cache_sensitivity() const override {
-    return desc_.cache_sensitivity;
-  }
+  double cache_sensitivity() const override { return cache_sensitivity_; }
   /// Loop descriptors hold only compute/think/io phases (validation rejects
   /// send and barrier outside parallel programs), and disk chains are
   /// VM-local, so a loop guest never acts on the network.
   sim::SimTime effect_distance() const override { return sim::kTimeNever; }
-  std::string name() const override { return desc_.name; }
+  std::string name() const override { return name_; }
   /// Movable except while a blkback request is in flight: the disk chain
   /// holds node-local device state that cannot follow the VM.
   bool migratable() const override { return !io_pending_; }
@@ -92,13 +55,21 @@ class LoopWorkload : public virt::Workload {
   void on_vm_migrated(virt::Vm& vm, virt::Engine& engine) override;
 
  private:
-  net::VirtualNetwork* net_;
-  virt::Vm* vm_;
-  Descriptor desc_;
+  // The members every next() call reads come first and stay together, and
+  // a single-phase program (every CPU guest) is read from only_ rather
+  // than from the heap-held phase list: a loop guest's state is cold by
+  // the time its next chunk starts, so each extra cache line is a miss.
   sim::Rng rng_;
   metrics::RateCounter* counter_;
-  std::size_t pc_ = 0;             ///< next phase of desc_.phases
   sim::SimTime last_compute_ = 0;  ///< credited on the following call
+  std::size_t pc_ = 0;             ///< next phase of phases_
+  double rate_units_;
+  Phase only_;  ///< phases_[0] when phases_ holds one phase
+  std::vector<Phase> phases_;
+  double cache_sensitivity_;
+  std::string name_;
+  net::VirtualNetwork* net_;
+  virt::Vm* vm_;
   std::unique_ptr<virt::SyncEvent> think_;
   std::unique_ptr<virt::SyncEvent> io_;
   bool io_pending_ = false;  ///< a blkback request is in flight

@@ -44,8 +44,6 @@
 
 namespace atcsim::workload {
 
-struct BspConfig;
-
 class DescriptorError : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;
@@ -76,8 +74,8 @@ struct Descriptor {
   std::string name;
   double cache_sensitivity = 1.0;
   int steps_per_iter = 20;
-  /// Loop mode: work units credited per second of completed compute (the
-  /// CpuBoundWorkload accounting; 0 = no rate metric).
+  /// Loop mode: work units credited per second of completed compute
+  /// (CPU-seconds for the SPEC guests, MB for stream; 0 = no rate metric).
   double rate_units = 0.0;
   std::vector<Phase> phases;
 
@@ -101,19 +99,6 @@ struct Descriptor {
   /// Validates an in-memory descriptor (the rules parse() enforces);
   /// returns the empty string when valid, else the one-line reason.
   std::string validate() const;
-
-  /// Lowers a classic BspConfig to its descriptor form: sync_rounds
-  /// segments of compute_per_superstep / sync_rounds each, separated by
-  /// local barriers, closed by the global barrier.  Exactly the phase
-  /// sequence BspApp has always executed, so a BspConfig-built app and its
-  /// descriptor twin are event-for-event identical.  Throws
-  /// DescriptorError when cfg.sync_rounds is outside [1, 32].
-  static Descriptor from_bsp(const BspConfig& cfg);
-
-  /// Aggregates the descriptor back into a BspConfig summary (total
-  /// compute, sync-round count, barrier volume).  Informational — the
-  /// phase list is the executable truth.
-  BspConfig to_bsp() const;
 };
 
 }  // namespace atcsim::workload

@@ -31,13 +31,38 @@ constexpr Base kBases[] = {
     {"is", 30'000'000 /*30ms*/, 256 * 1024, 5, 1, 0.9},
 };
 
+constexpr double kComputeJitter = 0.05;
+
+// The classic BSP superstep: `rounds` compute segments of compute / rounds
+// each (integer division, every segment equal), separated by local
+// barriers and closed by the global barrier.  The segmentation fixes each
+// profile's jitter draws, so it is part of the golden traces.
+std::vector<Phase> classic_superstep(SimTime compute, int rounds,
+                                     std::uint64_t barrier_bytes) {
+  Phase segment;
+  segment.kind = PhaseKind::kCompute;
+  segment.duration = compute / rounds;
+  segment.jitter = kComputeJitter;
+  Phase local;
+  local.kind = PhaseKind::kLocalBarrier;
+  Phase barrier;
+  barrier.kind = PhaseKind::kBarrier;
+  barrier.bytes = barrier_bytes;
+  std::vector<Phase> phases;
+  phases.reserve(2 * static_cast<std::size_t>(rounds));
+  for (int r = 0; r < rounds; ++r) {
+    if (r > 0) phases.push_back(local);
+    phases.push_back(segment);
+  }
+  phases.push_back(barrier);
+  return phases;
+}
+
 }  // namespace
 
-BspConfig npb_profile(const std::string& app, NpbClass cls) {
+Descriptor npb_descriptor(const std::string& app, NpbClass cls) {
   for (const Base& b : kBases) {
     if (app != b.name) continue;
-    BspConfig cfg;
-    cfg.name = app + npb_class_suffix(cls);
     double compute_scale = 1.0;
     double msg_scale = 1.0;
     switch (cls) {
@@ -52,21 +77,19 @@ BspConfig npb_profile(const std::string& app, NpbClass cls) {
         msg_scale = 2.0;
         break;
     }
-    cfg.compute_per_superstep =
-        static_cast<SimTime>(static_cast<double>(b.compute) * compute_scale);
-    cfg.bytes_per_msg = static_cast<std::uint64_t>(
-        static_cast<double>(b.msg_bytes) * msg_scale);
-    cfg.supersteps_per_iteration = b.steps_per_iter;
-    cfg.sync_rounds = b.sync_rounds;
-    cfg.cache_sensitivity = b.cache_sens;
-    cfg.compute_jitter = 0.05;
-    return cfg;
+    Descriptor d;
+    d.name = app + npb_class_suffix(cls);
+    d.cache_sensitivity = b.cache_sens;
+    d.steps_per_iter = b.steps_per_iter;
+    d.phases = classic_superstep(
+        static_cast<SimTime>(static_cast<double>(b.compute) * compute_scale),
+        b.sync_rounds,
+        static_cast<std::uint64_t>(static_cast<double>(b.msg_bytes) *
+                                   msg_scale));
+    assert(d.validate().empty());
+    return d;
   }
   throw std::invalid_argument("unknown NPB application: " + app);
-}
-
-Descriptor npb_descriptor(const std::string& app, NpbClass cls) {
-  return Descriptor::from_bsp(npb_profile(app, cls));
 }
 
 const std::vector<std::string>& npb_apps() {

@@ -13,19 +13,18 @@
 #include <string>
 #include <vector>
 
-#include "workload/bsp_app.h"
+#include "workload/descriptor.h"
 
 namespace atcsim::workload {
 
 enum class NpbClass { kA, kB, kC };
 
-/// Profile for one benchmark at one class, e.g. npb_profile("lu", kB).
-/// Knows: lu, is, sp, bt, mg, cg.
-BspConfig npb_profile(const std::string& app, NpbClass cls);
-
-/// The descriptor form of npb_profile(app, cls), via Descriptor::from_bsp —
-/// guaranteed to compile to the identical BspApp phase program, so the
-/// descriptor-built profile is event-for-event equal to the legacy one.
+/// Parallel descriptor for one benchmark at one class, e.g.
+/// npb_descriptor("lu", kB) names "lu.B".  Each superstep is the code's
+/// sync rounds: equal compute segments (jitter 0.05) separated by local
+/// barriers and closed by the global barrier carrying the per-VM exchange
+/// volume.  Knows lu, is, sp, bt, mg and cg; throws std::invalid_argument
+/// for any other name.
 Descriptor npb_descriptor(const std::string& app, NpbClass cls);
 
 /// The six applications in the order the paper's figures use.

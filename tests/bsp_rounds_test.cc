@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "net/network.h"
 #include "sched/credit.h"
@@ -31,12 +32,12 @@ struct Rig {
     network->attach();
   }
 
-  workload::BspApp& app(int vcpus, workload::BspConfig cfg) {
+  workload::BspApp& app(int vcpus, const workload::Descriptor& desc) {
     virt::Vm& vm = platform->create_vm(
         virt::NodeId{0}, virt::VmType::kParallel,
         "bsp" + std::to_string(platform->vm_count()), vcpus);
     apps.push_back(std::make_unique<workload::BspApp>(
-        std::vector<virt::Vm*>{&vm}, cfg, sim::Rng(9), nullptr, nullptr));
+        std::vector<virt::Vm*>{&vm}, desc, sim::Rng(9), nullptr, nullptr));
     apps.back()->attach();
     return *apps.back();
   }
@@ -49,12 +50,21 @@ struct Rig {
   }
 };
 
-workload::BspConfig cfg_with_rounds(int rounds) {
-  workload::BspConfig cfg;
-  cfg.compute_per_superstep = 4_ms;
-  cfg.sync_rounds = rounds;
-  cfg.compute_jitter = 0.0;
-  return cfg;
+// 4 ms of compute per superstep split into `rounds` equal segments: the
+// first rounds - 1 end at intra-VM local barriers, the last at the global
+// barrier.
+workload::Descriptor with_rounds(int rounds, double jitter = 0.0,
+                                 int steps_per_iter = 20) {
+  const std::string segment = "phase compute " +
+                              std::to_string(4_ms / rounds) + " jitter=" +
+                              std::to_string(jitter) + "\n";
+  std::string text = "workload bsp\nsteps_per_iter " +
+                     std::to_string(steps_per_iter) + "\n";
+  for (int r = 0; r < rounds; ++r) {
+    if (r > 0) text += "phase local_barrier\n";
+    text += segment;
+  }
+  return workload::Descriptor::parse(text + "phase barrier 64KiB\n");
 }
 
 TEST(BspRoundsTest, UncontendedRoundsAreFree) {
@@ -62,7 +72,7 @@ TEST(BspRoundsTest, UncontendedRoundsAreFree) {
   // (zero-latency) barrier bookkeeping: superstep rate is unchanged.
   auto steps = [](int rounds) {
     Rig rig(2);
-    auto& app = rig.app(2, cfg_with_rounds(rounds));
+    auto& app = rig.app(2, with_rounds(rounds));
     rig.run(2_s);
     return app.supersteps_completed();
   };
@@ -78,9 +88,9 @@ TEST(BspRoundsTest, ContendedRoundsMultiplySuperstepCost) {
   // more scheduling rotation per superstep.
   auto steps = [](int rounds) {
     Rig rig(2);
-    auto& a = rig.app(2, cfg_with_rounds(rounds));
-    rig.app(2, cfg_with_rounds(rounds));
-    rig.app(2, cfg_with_rounds(rounds));
+    auto& a = rig.app(2, with_rounds(rounds));
+    rig.app(2, with_rounds(rounds));
+    rig.app(2, with_rounds(rounds));
     rig.run(12_s);
     return a.supersteps_completed();
   };
@@ -91,9 +101,7 @@ TEST(BspRoundsTest, ContendedRoundsMultiplySuperstepCost) {
 
 TEST(BspRoundsTest, SuperstepCountsMatchAcrossClusterVms) {
   Rig rig(2);
-  workload::BspConfig cfg = cfg_with_rounds(3);
-  cfg.supersteps_per_iteration = 4;
-  auto& app = rig.app(2, cfg);
+  auto& app = rig.app(2, with_rounds(3, 0.0, /*steps_per_iter=*/4));
   rig.run(1_s);
   EXPECT_GT(app.supersteps_completed(), 10u);
   // Every rank observed every generation: total spin episodes per VM equal
@@ -109,7 +117,7 @@ TEST(BspRoundsTest, SuperstepCountsMatchAcrossClusterVms) {
 TEST(BspRoundsTest, DeterministicAcrossRuns) {
   auto fingerprint = [] {
     Rig rig(2, 77);
-    auto& app = rig.app(4, cfg_with_rounds(2));
+    auto& app = rig.app(4, with_rounds(2));
     rig.run(1_s);
     return app.supersteps_completed();
   };
@@ -117,30 +125,39 @@ TEST(BspRoundsTest, DeterministicAcrossRuns) {
 }
 
 TEST(BspRoundsTest, RejectsOutOfRangeSyncRounds) {
+  // A superstep holds at most 32 sync rounds: 31 local barriers before the
+  // global one.  BspApp rejects a program with more.
   Rig rig(2);
   virt::Vm& vm = rig.platform->create_vm(virt::NodeId{0},
                                          virt::VmType::kParallel, "bsp-v", 2);
   const std::vector<virt::Vm*> vms{&vm};
-  for (int rounds : {0, -1, 33, 100}) {
-    EXPECT_THROW(workload::BspApp(vms, cfg_with_rounds(rounds), sim::Rng(9),
-                                  nullptr, nullptr),
+  workload::Phase local;
+  local.kind = workload::PhaseKind::kLocalBarrier;
+  for (int locals : {32, 40}) {
+    workload::Descriptor d = with_rounds(1);
+    d.phases.insert(d.phases.begin() + 1, static_cast<std::size_t>(locals),
+                    local);
+    EXPECT_THROW(workload::BspApp(vms, d, sim::Rng(9), nullptr, nullptr),
                  std::invalid_argument)
-        << "sync_rounds=" << rounds << " should be rejected";
+        << locals << " local barriers should be rejected";
   }
+  // Zero rounds: a global barrier with no compute segment before it.
+  workload::Descriptor bare = with_rounds(1);
+  bare.phases.erase(bare.phases.begin());
+  EXPECT_THROW(workload::BspApp(vms, bare, sim::Rng(9), nullptr, nullptr),
+               std::invalid_argument);
   // Boundaries of the documented [1, 32] range are accepted.
-  EXPECT_NO_THROW(workload::BspApp(vms, cfg_with_rounds(1), sim::Rng(9),
-                                   nullptr, nullptr));
-  EXPECT_NO_THROW(workload::BspApp(vms, cfg_with_rounds(32), sim::Rng(9),
-                                   nullptr, nullptr));
+  EXPECT_NO_THROW(
+      workload::BspApp(vms, with_rounds(1), sim::Rng(9), nullptr, nullptr));
+  EXPECT_NO_THROW(
+      workload::BspApp(vms, with_rounds(32), sim::Rng(9), nullptr, nullptr));
 }
 
 TEST(BspRoundsTest, JitterSpreadsArrivals) {
   // With jitter, the non-laggard ranks accumulate nonzero spin wall time
   // even on an uncontended host.
   Rig rig(4);
-  workload::BspConfig cfg = cfg_with_rounds(1);
-  cfg.compute_jitter = 0.2;
-  auto& app = rig.app(4, cfg);
+  auto& app = rig.app(4, with_rounds(1, /*jitter=*/0.2));
   rig.run(2_s);
   EXPECT_GT(app.vms()[0]->totals().spin_wall, 0);
 }

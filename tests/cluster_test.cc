@@ -17,6 +17,16 @@ namespace {
 
 using namespace sim::time_literals;
 
+// A generic BSP guest: 2 ms of compute per superstep in three equal
+// segments (jitter 0.15) split by local barriers, then a 64 KiB barrier.
+workload::Descriptor two_ms_bsp() {
+  return workload::Descriptor::parse(
+      "workload bsp\n"
+      "phase compute 666666 jitter=0.15; phase local_barrier\n"
+      "phase compute 666666 jitter=0.15; phase local_barrier\n"
+      "phase compute 666666 jitter=0.15; phase barrier 64KiB\n");
+}
+
 TEST(TraceTest, Table1PercentagesSumToHundred) {
   double total = 0.0;
   for (const auto& b : atlas_table1()) total += b.percent;
@@ -152,10 +162,8 @@ TEST(ScenarioTest, RunsEndToEndWithEveryApproach) {
                   .approach(a)
                   .build();
     Scenario& s = *sp;
-    workload::BspConfig cfg;
-    cfg.compute_per_superstep = 2_ms;
     auto vms = s.create_cluster_vms("vc", {0, 0});
-    s.add_bsp_app("vc", cfg, std::move(vms));
+    s.add_bsp_app("vc", two_ms_bsp(), std::move(vms));
     s.start();
     s.warmup_and_measure(300_ms, 700_ms);
     EXPECT_GT(s.mean_superstep("vc"), 0.0) << approach_name(a);
@@ -170,10 +178,8 @@ TEST(ScenarioTest, WarmupResetExcludesEarlySamples) {
                 .pcpus_per_node(2)
                 .build();
   Scenario& s = *sp;
-  workload::BspConfig cfg;
-  cfg.compute_per_superstep = 2_ms;
   auto vms = s.create_cluster_vms("vc", {0, 0});
-  s.add_bsp_app("vc", cfg, std::move(vms));
+  s.add_bsp_app("vc", two_ms_bsp(), std::move(vms));
   s.start();
   s.run_for(500_ms);
   const auto before = s.metrics().durations("vc/superstep").count();

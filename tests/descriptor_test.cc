@@ -1,19 +1,17 @@
 // Workload-descriptor tests (DESIGN.md §11): parse/print round-trip
 // identity (hand-written, NPB-derived, CPU-profile and fuzz-generated
-// descriptors), table-driven rejection of every validation error path, the
-// NPB profiles' phase structure, and byte-for-byte metric equivalence of
-// descriptor twins against the legacy BspConfig / CpuBoundWorkload paths.
+// descriptors), table-driven rejection of every validation error path and
+// the NPB profiles' phase structure.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "cluster/scenario.h"
-#include "cluster/scenarios.h"
 #include "metrics/recorders.h"
 #include "net/network.h"
-#include "sched/credit.h"
 #include "virt/platform.h"
 #include "workload/apps.h"
 #include "workload/bsp_app.h"
@@ -90,11 +88,8 @@ TEST(DescriptorRoundTrip, NpbAndCpuProfilesRoundTrip) {
                         app + workload::npb_class_suffix(cls));
     }
   }
-  for (const auto& cfg :
-       {workload::CpuBoundWorkload::sphinx3(),
-        workload::CpuBoundWorkload::gcc(), workload::CpuBoundWorkload::bzip2(),
-        workload::CpuBoundWorkload::stream()}) {
-    expect_round_trip(workload::CpuBoundWorkload::descriptor(cfg), cfg.name);
+  for (const char* name : {"sphinx3", "gcc", "bzip2", "stream"}) {
+    expect_round_trip(workload::cpu_descriptor(name), name);
   }
 }
 
@@ -243,29 +238,57 @@ TEST(DescriptorRejection, ValidateCatchesFieldsUnreachableFromText) {
 // --------------------------------------------------------- NPB descriptors
 
 TEST(NpbDescriptorTest, PhaseStructureMirrorsTheProfile) {
-  for (const std::string& app : workload::npb_apps()) {
-    for (auto cls : {workload::NpbClass::kA, workload::NpbClass::kB,
-                     workload::NpbClass::kC}) {
-      const workload::BspConfig cfg = workload::npb_profile(app, cls);
-      const Descriptor d = workload::npb_descriptor(app, cls);
-      SCOPED_TRACE(cfg.name);
-      EXPECT_EQ(d.name, cfg.name);
-      EXPECT_EQ(d.cache_sensitivity, cfg.cache_sensitivity);
-      EXPECT_EQ(d.steps_per_iter, cfg.supersteps_per_iteration);
+  // The published class-B coupling shape of each code, and the class
+  // scaling of its compute grain and exchange volume.
+  struct Profile {
+    const char* app;
+    sim::SimTime compute;  // class-B per-rank compute per superstep
+    std::uint64_t bytes;   // class-B per-VM barrier volume
+    int steps_per_iter;
+    int rounds;  // compute segments per superstep
+    double cache_sens;
+  };
+  const Profile profiles[] = {
+      {"lu", 8_ms, 30 * 1024, 12, 4, 1.0},
+      {"cg", 10_ms, 100 * 1024, 12, 3, 0.8},
+      {"sp", 15_ms, 120 * 1024, 10, 3, 1.0},
+      {"bt", 20_ms, 150 * 1024, 8, 2, 1.1},
+      {"mg", 22_ms, 300 * 1024, 8, 2, 1.2},
+      {"is", 30_ms, 256 * 1024, 5, 1, 0.9},
+  };
+  struct Class {
+    workload::NpbClass cls;
+    double compute_scale;
+    double bytes_scale;
+  };
+  const Class classes[] = {{workload::NpbClass::kA, 0.5, 0.5},
+                           {workload::NpbClass::kB, 1.0, 1.0},
+                           {workload::NpbClass::kC, 2.5, 2.0}};
+  ASSERT_EQ(std::size(profiles), workload::npb_apps().size());
+  for (const Profile& p : profiles) {
+    for (const Class& c : classes) {
+      const Descriptor d = workload::npb_descriptor(p.app, c.cls);
+      SCOPED_TRACE(d.name);
+      EXPECT_EQ(d.name, p.app + workload::npb_class_suffix(c.cls));
+      EXPECT_EQ(d.cache_sensitivity, p.cache_sens);
+      EXPECT_EQ(d.steps_per_iter, p.steps_per_iter);
       EXPECT_TRUE(d.parallel());
-      EXPECT_EQ(d.local_barriers(), cfg.sync_rounds - 1);
-      EXPECT_EQ(d.barrier_bytes(), cfg.bytes_per_msg);
+      EXPECT_EQ(d.local_barriers(), p.rounds - 1);
+      EXPECT_EQ(d.barrier_bytes(),
+                static_cast<std::uint64_t>(static_cast<double>(p.bytes) *
+                                           c.bytes_scale));
       // [compute, local_barrier] x (R-1), compute, barrier.
-      ASSERT_EQ(d.phases.size(),
-                static_cast<std::size_t>(2 * cfg.sync_rounds));
+      ASSERT_EQ(d.phases.size(), static_cast<std::size_t>(2 * p.rounds));
       const sim::SimTime segment =
-          cfg.compute_per_superstep / cfg.sync_rounds;
-      for (int r = 0; r < cfg.sync_rounds; ++r) {
-        const Phase& c = d.phases[static_cast<std::size_t>(2 * r)];
-        EXPECT_EQ(c.kind, PhaseKind::kCompute);
-        EXPECT_EQ(c.duration, segment);
-        EXPECT_EQ(c.jitter, cfg.compute_jitter);
-        if (r < cfg.sync_rounds - 1) {
+          static_cast<sim::SimTime>(static_cast<double>(p.compute) *
+                                    c.compute_scale) /
+          p.rounds;
+      for (int r = 0; r < p.rounds; ++r) {
+        const Phase& seg = d.phases[static_cast<std::size_t>(2 * r)];
+        EXPECT_EQ(seg.kind, PhaseKind::kCompute);
+        EXPECT_EQ(seg.duration, segment);
+        EXPECT_EQ(seg.jitter, 0.05);
+        if (r < p.rounds - 1) {
           EXPECT_EQ(d.phases[static_cast<std::size_t>(2 * r + 1)].kind,
                     PhaseKind::kLocalBarrier);
         }
@@ -297,95 +320,6 @@ struct ProgRig {
                                "w" + std::to_string(platform->vm_count()), 4);
   }
 };
-
-TEST(NpbDescriptorTest, DescriptorCompilesToTheLegacyProgram) {
-  // The descriptor twin must produce the exact step sequence the BspConfig
-  // constructor compiles — that is what keeps golden traces byte-identical.
-  ProgRig rig;
-  for (const std::string& app : workload::npb_apps()) {
-    const workload::BspConfig cfg =
-        workload::npb_profile(app, workload::NpbClass::kB);
-    workload::BspApp legacy({&rig.vm()}, cfg, sim::Rng(1), nullptr, nullptr);
-    workload::BspApp twin({&rig.vm()}, workload::Descriptor::from_bsp(cfg),
-                          sim::Rng(1), nullptr, nullptr);
-    const auto& a = legacy.program();
-    const auto& b = twin.program();
-    ASSERT_EQ(a.size(), b.size()) << app;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].kind, b[i].kind) << app << " step " << i;
-      EXPECT_EQ(a[i].duration, b[i].duration) << app << " step " << i;
-      EXPECT_EQ(a[i].jitter, b[i].jitter) << app << " step " << i;
-      EXPECT_EQ(a[i].bytes, b[i].bytes) << app << " step " << i;
-      EXPECT_EQ(a[i].local_index, b[i].local_index) << app << " step " << i;
-    }
-  }
-}
-
-// ------------------------------------------------- scenario metric twins
-
-struct TwinMetrics {
-  double superstep = 0.0;
-  double spin = 0.0;
-  double llc = 0.0;
-  double rate = 0.0;
-  std::uint64_t events = 0;
-};
-
-template <typename BuildFn>
-TwinMetrics run_twin(BuildFn build, const std::string& prefix) {
-  cluster::ScenarioBuilder b;
-  b.nodes(2).vcpus_per_vm(4).seed(97);
-  auto sp = b.build();
-  build(*sp);
-  sp->start();
-  sp->warmup_and_measure(200_ms, 600_ms);
-  TwinMetrics m;
-  m.superstep = sp->mean_superstep_with_prefix(prefix);
-  m.spin = sp->avg_parallel_spin_latency();
-  m.llc = sp->llc_miss_rate();
-  m.events = sp->events_executed();
-  for (const auto& [key, rate] : sp->metrics().all_rates()) {
-    m.rate += rate.units();
-  }
-  return m;
-}
-
-TEST(DescriptorTwinTest, NpbDescriptorReproducesLegacyMetricsExactly) {
-  const TwinMetrics legacy = run_twin(
-      [](cluster::Scenario& s) {
-        cluster::build_type_a(s, "lu", workload::NpbClass::kA);
-      },
-      "lu.A");
-  const TwinMetrics twin = run_twin(
-      [](cluster::Scenario& s) {
-        cluster::build_type_a(
-            s, workload::npb_descriptor("lu", workload::NpbClass::kA));
-      },
-      "lu.A");
-  ASSERT_GT(legacy.superstep, 0.0);
-  EXPECT_EQ(legacy.superstep, twin.superstep);
-  EXPECT_EQ(legacy.spin, twin.spin);
-  EXPECT_EQ(legacy.llc, twin.llc);
-  EXPECT_EQ(legacy.events, twin.events);
-}
-
-TEST(DescriptorTwinTest, CpuBoundDescriptorCreditsTheIdenticalUnitStream) {
-  for (const auto& cfg : {workload::CpuBoundWorkload::stream(),
-                          workload::CpuBoundWorkload::gcc()}) {
-    const TwinMetrics legacy = run_twin(
-        [&](cluster::Scenario& s) { s.add_cpu_vm(0, cfg, "cpu0"); }, "none");
-    const TwinMetrics twin = run_twin(
-        [&](cluster::Scenario& s) {
-          s.add_loop_vm(0, workload::CpuBoundWorkload::descriptor(cfg),
-                        "cpu0");
-        },
-        "none");
-    ASSERT_GT(legacy.rate, 0.0) << cfg.name;
-    EXPECT_EQ(legacy.rate, twin.rate) << cfg.name;
-    EXPECT_EQ(legacy.llc, twin.llc) << cfg.name;
-    EXPECT_EQ(legacy.events, twin.events) << cfg.name;
-  }
-}
 
 // --------------------------------------------------------- misc semantics
 

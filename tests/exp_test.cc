@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "cluster/scenario.h"
+#include "exp/bench_util.h"
 #include "exp/emit.h"
 #include "exp/runner.h"
 #include "exp/sweep.h"
@@ -293,6 +294,19 @@ TEST(EmitTest, JsonlRowShape) {
   EXPECT_NE(row.find("\"superstep_s\":0.125"), std::string::npos);
   EXPECT_EQ(row.find("from_cache"), std::string::npos)
       << "cache state must not leak into emitted rows";
+}
+
+TEST(BenchUtilTest, CriticalPathProjectionOnlyForOneThread) {
+  // Four threads: serial_s (3.5 s) summed shard work that overlapped in a
+  // 1.0 s wall, so wall - serial + critical would claim -1.6 s.
+  EXPECT_FALSE(exp::projected_wall_s(4, 1.0, 3.5, 0.9).has_value());
+  EXPECT_FALSE(exp::projected_wall_s(2, 1.0, 0.6, 0.4).has_value());
+  // One thread ran the shards back to back: the projection stands.
+  const auto one = exp::projected_wall_s(1, 4.0, 3.5, 0.9);
+  ASSERT_TRUE(one.has_value());
+  EXPECT_DOUBLE_EQ(*one, 1.4);
+  // Unsharded runs account no rounds: the projection is the measurement.
+  EXPECT_DOUBLE_EQ(*exp::projected_wall_s(1, 2.0, 0.0, 0.0), 2.0);
 }
 
 }  // namespace

@@ -153,10 +153,12 @@ TEST(NetAllocGuardTest, BspSuperstepCycleSteadyStateIsAllocationFree) {
   }
   metrics::DurationRecorder supersteps;
   metrics::DurationRecorder iterations;
-  workload::BspConfig cfg;
-  cfg.compute_per_superstep = 600_us;
-  cfg.sync_rounds = 3;
-  workload::BspApp app(vms, cfg, sim::Rng(9), &supersteps, &iterations);
+  const auto desc = workload::Descriptor::parse(
+      "workload bsp\n"
+      "phase compute 200us jitter=0.15; phase local_barrier\n"
+      "phase compute 200us jitter=0.15; phase local_barrier\n"
+      "phase compute 200us jitter=0.15; phase barrier 64KiB\n");
+  workload::BspApp app(vms, desc, sim::Rng(9), &supersteps, &iterations);
   app.attach();
   for (int n = 0; n < 2; ++n) {
     platform.set_scheduler(virt::NodeId{n},

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "metrics/recorders.h"
 #include "net/network.h"
@@ -50,16 +51,35 @@ struct WlRig {
   }
 };
 
+// A generic BSP guest: three equal compute segments (jitter 0.15) split by
+// two local barriers, closed by a 64 KiB global barrier.
+workload::Descriptor three_round_bsp(sim::SimTime compute) {
+  const std::string segment = "phase compute " + std::to_string(compute / 3) +
+                              " jitter=0.15\n";
+  return workload::Descriptor::parse(
+      "workload bsp\n" + segment + "phase local_barrier\n" + segment +
+      "phase local_barrier\n" + segment + "phase barrier 64KiB\n");
+}
+
+// Per-rank compute of one superstep: the sum of the compute phases.
+sim::SimTime compute_per_superstep(const workload::Descriptor& d) {
+  sim::SimTime total = 0;
+  for (const workload::Phase& p : d.phases) {
+    if (p.kind == workload::PhaseKind::kCompute) total += p.duration;
+  }
+  return total;
+}
+
 TEST(BspTest, SingleVmAppCompletesSupersteps) {
   WlRig rig;
   virt::Vm& vm = rig.vm(0, 4, virt::VmType::kParallel);
-  workload::BspConfig cfg;
-  cfg.compute_per_superstep = 2_ms;
-  cfg.sync_rounds = 2;
-  cfg.supersteps_per_iteration = 5;
+  const auto desc = workload::Descriptor::parse(
+      "workload bsp; steps_per_iter 5\n"
+      "phase compute 1ms jitter=0.15; phase local_barrier\n"
+      "phase compute 1ms jitter=0.15; phase barrier 64KiB");
   auto& steps = rig.metrics.durations("app/superstep");
   auto& iters = rig.metrics.durations("app/iteration");
-  workload::BspApp app({&vm}, cfg, sim::Rng(1), &steps, &iters);
+  workload::BspApp app({&vm}, desc, sim::Rng(1), &steps, &iters);
   app.attach();
   rig.start();
   rig.simulation.run_until(2_s);
@@ -72,12 +92,10 @@ TEST(BspTest, UncontendedSuperstepTakesAboutComputeTime) {
   // 4 ranks on 4 PCPUs, no co-tenants: superstep ~= compute (plus jitter).
   WlRig rig;
   virt::Vm& vm = rig.vm(0, 4, virt::VmType::kParallel);
-  workload::BspConfig cfg;
-  cfg.compute_per_superstep = 4_ms;
-  cfg.sync_rounds = 1;
-  cfg.compute_jitter = 0.0;
+  const auto desc = workload::Descriptor::parse(
+      "workload bsp; phase compute 4ms; phase barrier 64KiB");
   auto& steps = rig.metrics.durations("app/superstep");
-  workload::BspApp app({&vm}, cfg, sim::Rng(1), &steps, nullptr);
+  workload::BspApp app({&vm}, desc, sim::Rng(1), &steps, nullptr);
   app.attach();
   rig.start();
   rig.simulation.run_until(1_s);
@@ -89,11 +107,9 @@ TEST(BspTest, CrossVmAppSynchronizesThroughTheNetwork) {
   WlRig rig(2);
   virt::Vm& a = rig.vm(0, 2, virt::VmType::kParallel);
   virt::Vm& b = rig.vm(1, 2, virt::VmType::kParallel);
-  workload::BspConfig cfg;
-  cfg.compute_per_superstep = 2_ms;
-  cfg.sync_rounds = 1;
-  cfg.bytes_per_msg = 64 * 1024;
-  workload::BspApp app({&a, &b}, cfg, sim::Rng(1), nullptr, nullptr);
+  const auto desc = workload::Descriptor::parse(
+      "workload bsp; phase compute 2ms jitter=0.15; phase barrier 64KiB");
+  workload::BspApp app({&a, &b}, desc, sim::Rng(1), nullptr, nullptr);
   app.attach();
   rig.start();
   rig.simulation.run_until(1_s);
@@ -106,14 +122,15 @@ TEST(BspTest, CrossVmAppSynchronizesThroughTheNetwork) {
 TEST(BspTest, ContendedSuperstepsSlowWithCoTenants) {
   auto measure = [](int clusters) {
     WlRig rig(1, 2);
-    workload::BspConfig cfg;
-    cfg.compute_per_superstep = 2_ms;
-    cfg.sync_rounds = 2;
+    const auto desc = workload::Descriptor::parse(
+        "workload bsp\n"
+        "phase compute 1ms jitter=0.15; phase local_barrier\n"
+        "phase compute 1ms jitter=0.15; phase barrier 64KiB");
     std::vector<workload::BspApp*> apps;
     for (int c = 0; c < clusters; ++c) {
       virt::Vm& vm = rig.vm(0, 2, virt::VmType::kParallel);
       rig.apps.push_back(std::make_unique<workload::BspApp>(
-          std::vector<virt::Vm*>{&vm}, cfg, sim::Rng(1), nullptr, nullptr));
+          std::vector<virt::Vm*>{&vm}, desc, sim::Rng(1), nullptr, nullptr));
       rig.apps.back()->attach();
       apps.push_back(rig.apps.back().get());
     }
@@ -128,10 +145,9 @@ TEST(BspTest, SpinLatencyRecordedPerVm) {
   WlRig rig(1, 2);
   virt::Vm& a = rig.vm(0, 2, virt::VmType::kParallel);
   virt::Vm& b = rig.vm(0, 2, virt::VmType::kParallel);
-  workload::BspConfig cfg;
-  cfg.compute_per_superstep = 2_ms;
-  workload::BspApp app1({&a}, cfg, sim::Rng(1), nullptr, nullptr);
-  workload::BspApp app2({&b}, cfg, sim::Rng(2), nullptr, nullptr);
+  const auto desc = three_round_bsp(2_ms);
+  workload::BspApp app1({&a}, desc, sim::Rng(1), nullptr, nullptr);
+  workload::BspApp app2({&b}, desc, sim::Rng(2), nullptr, nullptr);
   app1.attach();
   app2.attach();
   rig.start();
@@ -142,42 +158,42 @@ TEST(BspTest, SpinLatencyRecordedPerVm) {
 
 TEST(NpbProfilesTest, AllSixAppsExist) {
   for (const auto& app : workload::npb_apps()) {
-    const auto cfg = workload::npb_profile(app, workload::NpbClass::kB);
-    EXPECT_GT(cfg.compute_per_superstep, 0) << app;
-    EXPECT_GT(cfg.bytes_per_msg, 0u) << app;
-    EXPECT_GE(cfg.sync_rounds, 1) << app;
-    EXPECT_EQ(cfg.name, app + ".B");
+    const auto d = workload::npb_descriptor(app, workload::NpbClass::kB);
+    EXPECT_GT(compute_per_superstep(d), 0) << app;
+    EXPECT_GT(d.barrier_bytes(), 0u) << app;
+    EXPECT_TRUE(d.parallel()) << app;
+    EXPECT_EQ(d.name, app + ".B");
   }
 }
 
 TEST(NpbProfilesTest, ClassScaling) {
-  const auto b = workload::npb_profile("lu", workload::NpbClass::kB);
-  const auto c = workload::npb_profile("lu", workload::NpbClass::kC);
-  const auto a = workload::npb_profile("lu", workload::NpbClass::kA);
-  EXPECT_GT(c.compute_per_superstep, b.compute_per_superstep);
-  EXPECT_LT(a.compute_per_superstep, b.compute_per_superstep);
-  EXPECT_GT(c.bytes_per_msg, b.bytes_per_msg);
+  const auto b = workload::npb_descriptor("lu", workload::NpbClass::kB);
+  const auto c = workload::npb_descriptor("lu", workload::NpbClass::kC);
+  const auto a = workload::npb_descriptor("lu", workload::NpbClass::kA);
+  EXPECT_GT(compute_per_superstep(c), compute_per_superstep(b));
+  EXPECT_LT(compute_per_superstep(a), compute_per_superstep(b));
+  EXPECT_GT(c.barrier_bytes(), b.barrier_bytes());
 }
 
 TEST(NpbProfilesTest, LuIsFinestGrainIsIsCoarsest) {
-  const auto lu = workload::npb_profile("lu", workload::NpbClass::kB);
-  const auto is = workload::npb_profile("is", workload::NpbClass::kB);
-  EXPECT_LT(lu.compute_per_superstep, is.compute_per_superstep);
-  EXPECT_GT(lu.sync_rounds, is.sync_rounds);
-  EXPECT_LT(lu.bytes_per_msg, is.bytes_per_msg);
+  const auto lu = workload::npb_descriptor("lu", workload::NpbClass::kB);
+  const auto is = workload::npb_descriptor("is", workload::NpbClass::kB);
+  EXPECT_LT(compute_per_superstep(lu), compute_per_superstep(is));
+  EXPECT_GT(lu.local_barriers(), is.local_barriers());
+  EXPECT_LT(lu.barrier_bytes(), is.barrier_bytes());
 }
 
 TEST(NpbProfilesTest, UnknownAppThrows) {
-  EXPECT_THROW(workload::npb_profile("ep", workload::NpbClass::kB),
+  EXPECT_THROW(workload::npb_descriptor("ep", workload::NpbClass::kB),
                std::invalid_argument);
 }
 
 TEST(CpuWorkloadTest, CountsCompletedWork) {
   WlRig rig;
   virt::Vm& vm = rig.vm(0, 1, virt::VmType::kNonParallel);
-  auto cfg = workload::CpuBoundWorkload::sphinx3();
-  rig.workloads.push_back(std::make_unique<workload::CpuBoundWorkload>(
-      cfg, sim::Rng(4), &rig.metrics.rate("cpu")));
+  rig.workloads.push_back(std::make_unique<workload::LoopWorkload>(
+      *rig.network, vm, workload::cpu_descriptor("sphinx3"), sim::Rng(4),
+      &rig.metrics.rate("cpu")));
   vm.vcpus()[0]->set_workload(rig.workloads.back().get());
   rig.start();
   rig.simulation.run_until(2_s);
@@ -186,9 +202,9 @@ TEST(CpuWorkloadTest, CountsCompletedWork) {
 }
 
 TEST(CpuWorkloadTest, StreamReportsBandwidthUnits) {
-  const auto cfg = workload::CpuBoundWorkload::stream();
-  EXPECT_GT(cfg.units_per_second_of_work, 1.0);  // MB per CPU-second
-  EXPECT_GT(cfg.cache_sens, 1.5);                // bandwidth-bound
+  const auto d = workload::cpu_descriptor("stream");
+  EXPECT_GT(d.rate_units, 1.0);         // MB per CPU-second
+  EXPECT_GT(d.cache_sensitivity, 1.5);  // bandwidth-bound
 }
 
 TEST(PingTest, RecordsRoundTrips) {
@@ -224,10 +240,9 @@ TEST(PingTest, RttGrowsWhenPeerContended) {
     if (contended) {
       // A spinning co-tenant on the peer's node delays its scheduling.
       virt::Vm& spin = rig.vm(1, 1, virt::VmType::kParallel);
-      workload::BspConfig cfg;
-      cfg.compute_per_superstep = 5_ms;
       rig.apps.push_back(std::make_unique<workload::BspApp>(
-          std::vector<virt::Vm*>{&spin}, cfg, sim::Rng(1), nullptr, nullptr));
+          std::vector<virt::Vm*>{&spin}, three_round_bsp(5_ms), sim::Rng(1),
+          nullptr, nullptr));
       rig.apps.back()->attach();
     }
     rig.start();
