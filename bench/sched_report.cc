@@ -81,8 +81,8 @@ struct NodeFixture {
     virt::Node& node = platform->node(virt::NodeId{0});
     for (std::size_t i = 0; i < node.vms().size(); ++i) {
       for (auto& v : node.vms()[i]->vcpus()) {
-        v->sched().rq.vm = static_cast<std::int32_t>(i);
-        vcpus.push_back(v.get());
+        v.sched().rq.vm = static_cast<std::int32_t>(i);
+        vcpus.push_back(&v);
         cls.push_back(CreditPrio::kUnder);
       }
     }

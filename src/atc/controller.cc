@@ -33,8 +33,7 @@ obs::TraceEvent atc_event(sim::SimTime now, std::uint8_t type,
 AtcController::AtcController(virt::Node& node,
                              const sync::PeriodMonitor& monitor, AtcConfig cfg)
     : node_(&node), monitor_(&monitor), cfg_(cfg),
-      history_(node.vms().size()), candidate_(node.vms().size(), 0),
-      wakeup_rate_(node.vms().size(), 0.0) {
+      vms_(node.vms().size()) {
   if (cfg_.auto_classify) {
     classifier_ = std::make_unique<VmClassifier>(node, monitor);
   }
@@ -54,11 +53,7 @@ void AtcController::on_period() {
 #endif
   // Migration arrivals extend the node's VM slots (departures leave
   // tombstones, so surviving indices are stable).
-  if (history_.size() < node_->vms().size()) {
-    history_.resize(node_->vms().size());
-    candidate_.resize(node_->vms().size(), 0);
-    wakeup_rate_.resize(node_->vms().size(), 0.0);
-  }
+  if (vms_.size() < node_->vms().size()) vms_.resize(node_->vms().size());
   // Step 1: Algorithm 1 per parallel VM.
   bool any_parallel = false;
   SimTime min_slice = cfg_.default_slice;
@@ -66,12 +61,12 @@ void AtcController::on_period() {
     if (node_->vms()[i] == nullptr) continue;  // migration tombstone
     virt::Vm& vm = *node_->vms()[i];
     if (!treats_as_parallel(vm)) continue;
-    PeriodHistory& h = history_[i];
+    PeriodHistory& h = vms_[i].history;
     const SimTime spin = monitor_->avg_spin_latency(vm.id());
     h.push(PeriodSample{spin, vm.time_slice()});
     SimTime slice = vm.time_slice();
     if (h.full()) slice = compute_time_slice(cfg_, h);
-    candidate_[i] = slice;
+    vms_[i].candidate = slice;
     any_parallel = true;
     min_slice = std::min(min_slice, slice);
 #if ATCSIM_TRACE_ENABLED
@@ -112,8 +107,9 @@ void AtcController::on_period() {
       const double rate =
           static_cast<double>(snap.wakeups) /
           sim::to_seconds(node_->platform().params().accounting_period);
-      wakeup_rate_[i] = 0.8 * wakeup_rate_[i] + 0.2 * rate;
-      vm->set_time_slice(wakeup_rate_[i] >= cfg_.latency_sensitive_wakeups_hz
+      double& ewma = vms_[i].wakeup_rate;
+      ewma = 0.8 * ewma + 0.2 * rate;
+      vm->set_time_slice(ewma >= cfg_.latency_sensitive_wakeups_hz
                              ? cfg_.latency_sensitive_slice
                              : cfg_.default_slice);
     } else {
@@ -133,8 +129,8 @@ void AtcController::on_period() {
 SimTime AtcController::last_candidate(virt::VmId id) const {
   for (std::size_t i = 0; i < node_->vms().size(); ++i) {
     if (node_->vms()[i] == nullptr) continue;  // migration tombstone
-    if (node_->vms()[i]->id() == id && i < candidate_.size()) {
-      return candidate_[i];
+    if (node_->vms()[i]->id() == id && i < vms_.size()) {
+      return vms_[i].candidate;
     }
   }
   return 0;

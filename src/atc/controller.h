@@ -43,9 +43,13 @@ class AtcController {
   virt::Node* node_;
   const sync::PeriodMonitor* monitor_;
   AtcConfig cfg_;
-  std::vector<PeriodHistory> history_;    // by VM index within the node
-  std::vector<sim::SimTime> candidate_;   // by VM index within the node
-  std::vector<double> wakeup_rate_;       // EWMA, by VM index within node
+  /// Controller state of one VM slot of the node.
+  struct VmState {
+    PeriodHistory history;
+    sim::SimTime candidate = 0;  ///< last Algorithm 1 result
+    double wakeup_rate = 0.0;    ///< EWMA of wake-ups per second
+  };
+  std::vector<VmState> vms_;  // by VM index within the node
   std::unique_ptr<VmClassifier> classifier_;  // when auto_classify
 };
 

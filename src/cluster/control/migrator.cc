@@ -32,7 +32,7 @@ bool Migrator::can_migrate(const virt::Vm& vm) const {
   for (const auto& v : vm.vcpus()) {
     // A VCPU with no workload idles forever: nothing to expel or re-arm,
     // so it never blocks a move (single-app VMs pad to vcpus_per_vm).
-    const virt::Workload* wl = v->workload();
+    const virt::Workload* wl = v.workload();
     if (wl != nullptr && !wl->migratable()) return false;
   }
   return true;

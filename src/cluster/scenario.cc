@@ -279,7 +279,7 @@ virt::Vm& Scenario::add_loop_vm(int node, workload::Descriptor desc,
   workloads_.push_back(std::make_unique<workload::LoopWorkload>(
       net_of(vm), vm, std::move(desc),
       app_rng().split(std::hash<std::string>{}(key)), &metrics_->rate(key)));
-  vm.vcpus()[0]->set_workload(workloads_.back().get());
+  vm.vcpus()[0].set_workload(workloads_.back().get());
   return vm;
 }
 
@@ -292,7 +292,7 @@ virt::Vm& Scenario::add_disk_vm(int node, const std::string& key) {
   workloads_.push_back(std::make_unique<workload::DiskWorkload>(
       net_of(vm), vm, workload::DiskWorkload::Config{},
       &metrics_->rate(key)));
-  vm.vcpus()[0]->set_workload(workloads_.back().get());
+  vm.vcpus()[0].set_workload(workloads_.back().get());
   return vm;
 }
 
@@ -312,10 +312,10 @@ virt::Vm& Scenario::add_ping_pair(int node_a, int node_b,
   workloads_.push_back(std::make_unique<workload::PingWorkload>(
       net_of(pinger), pinger, peer, workload::PingWorkload::Config{},
       &metrics_->latency(key)));
-  pinger.vcpus()[0]->set_workload(workloads_.back().get());
+  pinger.vcpus()[0].set_workload(workloads_.back().get());
   workloads_.push_back(std::make_unique<workload::IdleServerWorkload>(
       peer.node().platform().engine()));
-  peer.vcpus()[0]->set_workload(workloads_.back().get());
+  peer.vcpus()[0].set_workload(workloads_.back().get());
   return pinger;
 }
 
@@ -331,7 +331,7 @@ virt::Vm& Scenario::add_web_vm(int node, double requests_per_second,
       net_of(vm), vm, workload::WebServerWorkload::Config{},
       &metrics_->latency(key),
       app_rng().split(std::hash<std::string>{}(key)));
-  vm.vcpus()[0]->set_workload(server.get());
+  vm.vcpus()[0].set_workload(server.get());
   workload::HttperfClient::Config cc;
   cc.rate_per_second = requests_per_second;
   clients_.push_back(std::make_unique<workload::HttperfClient>(
@@ -473,7 +473,7 @@ void Scenario::reset_platform_stats() {
       virt::Vm* vm = platform.vm_ptr(virt::VmId{static_cast<std::int32_t>(id)});
       if (vm == nullptr) continue;
       vm->totals() = virt::Vm::Totals{};
-      for (auto& v : vm->vcpus()) v->mutable_totals() = virt::Vcpu::Totals{};
+      for (auto& v : vm->vcpus()) v.mutable_totals() = virt::Vcpu::Totals{};
     }
   }
   llc_baseline_ = 0;  // totals were zeroed; baseline resets with them

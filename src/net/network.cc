@@ -114,7 +114,7 @@ void VirtualNetwork::attach() {
     virt::Node& node = *platform_->nodes()[n];
     nodes_[n].backend = std::make_unique<Dom0Backend>(*this, node);
     assert(node.dom0() != nullptr && node.dom0()->vcpu_count() >= 1);
-    node.dom0()->vcpus()[0]->set_workload(nodes_[n].backend.get());
+    node.dom0()->vcpus()[0].set_workload(nodes_[n].backend.get());
   }
 }
 

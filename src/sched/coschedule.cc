@@ -70,8 +70,8 @@ void CoScheduler::on_dispatched(Vcpu& v, Pcpu& p) {
     free_pcpus.push_back(pc.get());
   }
   std::size_t next_target = 0;
-  for (const auto& sibling : v.vm().vcpus()) {
-    Vcpu* s = sibling.get();
+  for (Vcpu& sibling : v.vm().vcpus()) {
+    Vcpu* s = &sibling;
     if (s == &v || !s->runnable()) continue;
     if (next_target >= free_pcpus.size()) break;
     if (!remove_from_queue(*s)) continue;  // raced with another pick

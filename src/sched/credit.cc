@@ -62,7 +62,7 @@ void CreditScheduler::attach(virt::Node& node, virt::Engine& engine) {
   for (std::size_t i = 0; i < node.vms().size(); ++i) {
     if (node.vms()[i] == nullptr) continue;  // migration tombstone
     for (auto& v : node.vms()[i]->vcpus()) {
-      v->sched().rq.vm = static_cast<std::int32_t>(i);
+      v.sched().rq.vm = static_cast<std::int32_t>(i);
     }
   }
   next_vm_index_ = static_cast<std::int32_t>(node.vms().size());
@@ -86,8 +86,8 @@ void CreditScheduler::attach(virt::Node& node, virt::Engine& engine) {
 
 void CreditScheduler::vm_departing(Vm& vm) {
   for (auto& v : vm.vcpus()) {
-    queues_.erase(*v);  // no-op for VCPUs not queued (blocked/done)
-    v->sched().boosted = false;
+    queues_.erase(v);  // no-op for VCPUs not queued (blocked/done)
+    v.sched().boosted = false;
   }
 }
 
@@ -95,10 +95,10 @@ void CreditScheduler::vm_arrived(Vm& vm) {
   const std::int32_t idx = next_vm_index_++;
   queues_.grow_vm_stride(static_cast<std::size_t>(next_vm_index_));
   for (auto& v : vm.vcpus()) {
-    v->sched().rq.vm = idx;
+    v.sched().rq.vm = idx;
     // Placement state from the previous host is meaningless here.
-    v->sched().queue = virt::PcpuId{};
-    v->sched().last_pcpu = virt::PcpuId{};
+    v.sched().queue = virt::PcpuId{};
+    v.sched().last_pcpu = virt::PcpuId{};
   }
 }
 
@@ -306,7 +306,7 @@ void CreditScheduler::refill_credits() {
   for (const auto& vm : node_->vms()) {
     if (vm == nullptr) continue;  // migration tombstone
     for (const auto& v : vm->vcpus()) {
-      if (v->state() != VcpuState::kDone) {
+      if (v.state() != VcpuState::kDone) {
         weight_sum += static_cast<double>(vm->weight());
         break;
       }
@@ -318,7 +318,7 @@ void CreditScheduler::refill_credits() {
     if (vm == nullptr) continue;  // migration tombstone
     int live = 0;
     for (const auto& v : vm->vcpus()) {
-      if (v->state() != VcpuState::kDone) ++live;
+      if (v.state() != VcpuState::kDone) ++live;
     }
     if (live == 0) continue;
     double share = pool * static_cast<double>(vm->weight()) / weight_sum;
@@ -329,16 +329,16 @@ void CreditScheduler::refill_credits() {
                                   100.0);
     }
     const double per_vcpu = share / static_cast<double>(live);
-    for (const auto& v : vm->vcpus()) {
-      if (v->state() == VcpuState::kDone) continue;
-      const double before = v->sched().credits;
-      v->sched().credits =
-          std::clamp(v->sched().credits + per_vcpu, -mp.credit_clip,
+    for (auto& v : vm->vcpus()) {
+      if (v.state() == VcpuState::kDone) continue;
+      const double before = v.sched().credits;
+      v.sched().credits =
+          std::clamp(v.sched().credits + per_vcpu, -mp.credit_clip,
                      mp.credit_clip);
-      distributed += v->sched().credits - before;
+      distributed += v.sched().credits - before;
       ATCSIM_TRACE(engine().simulation().trace(),
                    sched_event(engine().simulation().now(), obs::ev::kCredit,
-                               *v, mcr(v->sched().credits)));
+                               v, mcr(v.sched().credits)));
     }
   }
 #if ATCSIM_TRACE_ENABLED

@@ -106,13 +106,13 @@ void PeriodMonitor::sample() {
     // pre-boundary wall time was double-counted: once in this snapshot and
     // again in full in the period where the episode ended.
     bool spinning = false;
-    for (const auto& v : vm.vcpus()) {
-      if (v->eng().in_spin_episode) {
-        const SimTime segment = now - v->eng().spin_episode_start;
+    for (auto& v : vm.vcpus()) {
+      if (v.eng().in_spin_episode) {
+        const SimTime segment = now - v.eng().spin_episode_start;
         snap.spin_wall += segment;
         snap.spin_episodes += 1;
         vm.totals().spin_wall += segment;
-        v->eng().spin_episode_start = now;
+        v.eng().spin_episode_start = now;
         spinning = true;
       }
     }

@@ -41,11 +41,12 @@ Engine::Engine(sim::Simulation& simulation, Platform& platform)
 void Engine::start() {
   assert(!started_ && "Engine::start called twice");
   started_ = true;
-  // Create the reusable timer slots.  One set per PCPU plus a segment timer
-  // per VCPU; every dispatch cycle re-arms these in place, so the steady
-  // state never constructs a callback or touches the allocator.  Creation
-  // order is irrelevant to determinism: only arm() consumes sequence
-  // numbers.
+  // Create the reusable timer slots: four per PCPU, none per VCPU.  Only
+  // the VCPU on a PCPU can have a compute segment in flight, so the segment
+  // timer belongs to the PCPU and finishes whichever VCPU is current.  Every
+  // dispatch cycle re-arms these in place, so the steady state never
+  // constructs a callback or touches the allocator.  Creation order is
+  // irrelevant to determinism: only arm() consumes sequence numbers.
   for (auto& node : platform_->nodes()) {
     for (auto& p : node->pcpus()) {
       Pcpu* pp = p.get();
@@ -59,16 +60,8 @@ void Engine::start() {
         pp->eng().resched_pending = false;
         if (!pp->idle() && !pp->eng().in_dispatch) request_resched(*pp);
       });
-    }
-    for (auto& vm : node->vms()) {
-      for (auto& v : vm->vcpus()) {
-        Vcpu* vp = v.get();
-        vp->eng().segment_timer = sim_->make_timer([this, vp] {
-          Pcpu* p = vp->eng().on_pcpu;
-          assert(p != nullptr && "segment timer fired off-CPU");
-          compute_finished(*p, *vp);
-        });
-      }
+      pp->eng().segment_timer =
+          sim_->make_timer([this, pp] { compute_finished(*pp); });
     }
   }
   for (auto& node : platform_->nodes()) {
@@ -78,12 +71,12 @@ void Engine::start() {
   for (auto& node : platform_->nodes()) {
     for (auto& vm : node->vms()) {
       for (auto& v : vm->vcpus()) {
-        if (v->workload() != nullptr) {
-          v->set_state(VcpuState::kRunnable);
+        if (v.workload() != nullptr) {
+          v.set_state(VcpuState::kRunnable);
           ATCSIM_TRACE(sim_->trace(),
                        vcpu_event(sim_->now(), obs::TraceCat::kVcpu,
-                                  obs::ev::kStart, *v));
-          node->scheduler().vcpu_started(*v);
+                                  obs::ev::kStart, v));
+          node->scheduler().vcpu_started(v);
         }
       }
     }
@@ -196,7 +189,7 @@ void Engine::run_current(Pcpu& p) {
         e.segment_start = now;
         const SimTime end = now + need;
         if (end < p.eng().slice_end) {
-          sim_->arm_at(e.segment_timer, end);
+          sim_->arm_at(p.eng().segment_timer, end);
         }
         return;  // compute until segment end or slice expiry
       }
@@ -240,8 +233,9 @@ void Engine::run_current(Pcpu& p) {
   }
 }
 
-void Engine::compute_finished(Pcpu& p, Vcpu& v) {
-  assert(p.current() == &v);
+void Engine::compute_finished(Pcpu& p) {
+  assert(!p.idle() && "segment timer fired on an idle PCPU");
+  Vcpu& v = *p.current();
   account_segment(p, v);
   assert(v.eng().cache_debt <= 0 && v.eng().compute_left <= 0);
   v.eng().action_valid = false;
@@ -281,7 +275,7 @@ void Engine::leave_cpu(Pcpu& p, LeaveReason reason) {
   assert(v != nullptr);
   account_segment(p, *v);
   auto& e = v->eng();
-  sim_->disarm(e.segment_timer);
+  sim_->disarm(p.eng().segment_timer);
   sim_->disarm(p.eng().slice_timer);  // no-op when the slice just expired
   const SimTime now = sim_->now();
   const SimTime stint = now - e.stint_start;
@@ -537,10 +531,10 @@ Engine::BoundPair Engine::vm_bound_pair(const Vm& vm) const {
   // for non-negative operands, on both sides of the saturation point.
   BoundPair bp;
   for (const auto& v : vm.vcpus()) {
-    const auto& e = v->eng();
-    const VcpuState st = v->state();
+    const auto& e = v.eng();
+    const VcpuState st = v.state();
     if (st == VcpuState::kDone || st == VcpuState::kBlocked) continue;
-    const Workload* wl = v->workload();
+    const Workload* wl = v.workload();
     const SimTime dist =
         wl != nullptr ? wl->effect_distance() : sim::SimTime{0};
     if (e.action_valid && e.action.kind == Action::Kind::kCompute) {
@@ -659,8 +653,8 @@ sim::SimTime Engine::earliest_effect_time_reference() {
     for (auto& vm : node->vms()) {
       if (vm == nullptr) continue;  // expelled by migration (tombstone slot)
       for (auto& v : vm->vcpus()) {
-        const auto& e = v->eng();
-        const VcpuState st = v->state();
+        const auto& e = v.eng();
+        const VcpuState st = v.state();
         if (st == VcpuState::kDone) continue;
         if (st == VcpuState::kBlocked) {
           // A blocked VCPU resumes only when something signals it: local
@@ -671,7 +665,7 @@ sim::SimTime Engine::earliest_effect_time_reference() {
           // contributes no bound of its own.
           continue;
         }
-        const Workload* wl = v->workload();
+        const Workload* wl = v.workload();
         const SimTime dist =
             wl != nullptr ? wl->effect_distance() : sim::SimTime{0};
         if (e.action_valid && e.action.kind == Action::Kind::kCompute) {
@@ -717,9 +711,9 @@ std::unique_ptr<MigrationBundle> Engine::pause_and_expel(
   // Force running VCPUs off their PCPUs first: leave_cpu accounts the
   // partial stint and charges the scheduler exactly as a preemption would.
   for (auto& v : vm.vcpus()) {
-    if (v->state() == VcpuState::kRunning) {
-      Pcpu* p = v->eng().on_pcpu;
-      assert(p != nullptr && p->current() == v.get());
+    if (v.state() == VcpuState::kRunning) {
+      Pcpu* p = v.eng().on_pcpu;
+      assert(p != nullptr && p->current() == &v);
       leave_cpu(*p, LeaveReason::kPreempt);
     }
   }
@@ -730,17 +724,16 @@ std::unique_ptr<MigrationBundle> Engine::pause_and_expel(
   bundle->depart_time = sim_->now();
   bundle->arrive_time = arrive_time;
 
-  // Out of the run queues, then park every VCPU for the copy window.  The
-  // segment timers belong to this shard's simulation and stay behind;
-  // adopt_and_resume makes fresh ones.
+  // Out of the run queues, then park every VCPU for the copy window.  No
+  // timer travels with a VCPU: the segment timers belong to the PCPUs, and
+  // leave_cpu above disarmed those of the VCPUs it forced off.
   node.scheduler().vm_departing(vm);
   bundle->vcpu_runnable.reserve(vm.vcpus().size());
   for (auto& v : vm.vcpus()) {
-    bundle->vcpu_runnable.push_back(v->state() == VcpuState::kRunnable);
-    bundle->credits_total += v->sched().credits;
-    if (v->state() != VcpuState::kDone) v->set_state(VcpuState::kBlocked);
-    sim_->disarm(v->eng().segment_timer);
-    v->eng().on_pcpu = nullptr;
+    bundle->vcpu_runnable.push_back(v.state() == VcpuState::kRunnable);
+    bundle->credits_total += v.sched().credits;
+    if (v.state() != VcpuState::kDone) v.set_state(VcpuState::kBlocked);
+    assert(v.eng().on_pcpu == nullptr);
   }
 
   // Owned workload timers: cancel here, travel as remaining delays.  A
@@ -810,21 +803,10 @@ Vm& Engine::adopt_and_resume(MigrationBundle& bundle, NodeId dest_node) {
   // Queued mail re-enters this engine's pending-deposit accounting.
   deposits_pending_ += vm.mailbox().size();
 
-  // Fresh per-VCPU segment timers on this simulation (the source slots are
-  // orphaned there, permanently disarmed).
-  for (auto& v : vm.vcpus()) {
-    Vcpu* vp = v.get();
-    vp->eng().segment_timer = sim_->make_timer([this, vp] {
-      Pcpu* p = vp->eng().on_pcpu;
-      assert(p != nullptr && "segment timer fired off-CPU");
-      compute_finished(*p, *vp);
-    });
-  }
-
   // Workload rebind hooks run before any VCPU resumes, so the first next()
   // on this node already sees the destination engine/network.
   for (auto& v : vm.vcpus()) {
-    if (v->workload() != nullptr) v->workload()->on_vm_migrated(vm, *this);
+    if (v.workload() != nullptr) v.workload()->on_vm_migrated(vm, *this);
   }
 
   // Travelled timers re-arm with their remaining delays.
@@ -834,7 +816,7 @@ Vm& Engine::adopt_and_resume(MigrationBundle& bundle, NodeId dest_node) {
 
   ATCSIM_TRACE(sim_->trace(), [&] {
     double credits = 0.0;
-    for (auto& v : vm.vcpus()) credits += v->sched().credits;
+    for (auto& v : vm.vcpus()) credits += v.sched().credits;
     obs::TraceEvent e;
     e.time = sim_->now();
     e.cat = obs::TraceCat::kMigration;
@@ -854,10 +836,10 @@ Vm& Engine::adopt_and_resume(MigrationBundle& bundle, NodeId dest_node) {
   bool any_runnable = false;
   for (auto& v : vm.vcpus()) {
     const bool was_runnable = bundle.vcpu_runnable[i++];
-    if (v->state() == VcpuState::kDone) continue;
+    if (v.state() == VcpuState::kDone) continue;
     if (was_runnable) {
-      v->set_state(VcpuState::kRunnable);
-      node.scheduler().vcpu_started(*v);
+      v.set_state(VcpuState::kRunnable);
+      node.scheduler().vcpu_started(v);
       any_runnable = true;
     }
   }

@@ -162,16 +162,17 @@ class Engine {
   std::unique_ptr<MigrationBundle> pause_and_expel(
       Vm& vm, std::int32_t dest_node_global, sim::SimTime arrive_time);
 
-  /// Destination half, at t_r: attaches the VM to `dest_node`, gives every
-  /// VCPU a fresh segment timer on this simulation, runs the workloads'
-  /// on_vm_migrated rebind hooks, re-arms the travelled timers, restores
-  /// runnability and kicks the node's idle PCPUs.
+  /// Destination half, at t_r: attaches the VM to `dest_node`, runs the
+  /// workloads' on_vm_migrated rebind hooks, re-arms the travelled timers,
+  /// restores runnability and kicks the node's idle PCPUs.  It creates no
+  /// timer slots: the VCPUs run under the destination PCPUs' timers.
   Vm& adopt_and_resume(MigrationBundle& bundle, NodeId dest_node);
 
  private:
   void dispatch(Pcpu& p);
   void run_current(Pcpu& p);
-  void compute_finished(Pcpu& p, Vcpu& v);
+  /// Segment-timer callback: `p`'s current VCPU burned its debt and work.
+  void compute_finished(Pcpu& p);
   void slice_expired(Pcpu& p);
   enum class LeaveReason { kSliceEnd, kBlock, kExit, kPreempt };
   void leave_cpu(Pcpu& p, LeaveReason reason);

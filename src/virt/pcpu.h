@@ -33,6 +33,9 @@ class Pcpu {
     sim::TimerId slice_timer;      ///< slice-expiry timer
     sim::TimerId dispatch_timer;   ///< zero-delay dispatch trampoline
     sim::TimerId resched_timer;    ///< deferred (ratelimited) preemption
+    /// Compute-finish timer of the current VCPU: only the VCPU on the PCPU
+    /// can have a segment in flight, so one slot per PCPU serves them all.
+    sim::TimerId segment_timer;
     sim::SimTime slice_end = 0;    ///< absolute end of current slice
     /// Last VCPU that occupied the core; used for the cache-warmth model
     /// (no refill when the same VCPU resumes with nothing in between).

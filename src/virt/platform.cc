@@ -69,14 +69,11 @@ Vm& Platform::create_vm(NodeId node_id, VmType type, const std::string& name,
                         int vcpus) {
   assert(node_id.valid() && node_id.index() < nodes_.size());
   Node& node = *nodes_[node_id.index()];
-  auto vm = std::make_unique<Vm>(VmId{static_cast<std::int32_t>(vms_.size())},
-                                 node, type, name);
+  auto vm = std::make_unique<Vm>(
+      VmId{static_cast<std::int32_t>(vms_.size())}, node, type, name, vcpus,
+      VcpuId{static_cast<std::int32_t>(vcpus_.size())});
   vm->set_time_slice(config_.params.default_time_slice);
-  if (vcpus > 0) vm->reserve_vcpus(static_cast<std::size_t>(vcpus));
-  for (int i = 0; i < vcpus; ++i) {
-    Vcpu& v = vm->add_vcpu(VcpuId{static_cast<std::int32_t>(vcpus_.size())});
-    vcpus_.push_back(&v);
-  }
+  for (Vcpu& v : vm->vcpus()) vcpus_.push_back(&v);
   vms_.push_back(vm.get());
   node.vms().push_back(std::move(vm));
   ++topology_version_;
@@ -101,9 +98,9 @@ std::unique_ptr<Vm> Platform::expel_vm(Vm& vm) {
   Node& node = vm.node();
   assert(vms_[vm.id().index()] == &vm);
   vms_[vm.id().index()] = nullptr;
-  for (auto& v : vm.vcpus()) {
-    assert(vcpus_[v->id().index()] == v.get());
-    vcpus_[v->id().index()] = nullptr;
+  for (Vcpu& v : vm.vcpus()) {
+    assert(vcpus_[v.id().index()] == &v);
+    vcpus_[v.id().index()] = nullptr;
   }
   ++topology_version_;
   // Extract ownership but keep the (now null) slot, so sibling VMs keep
@@ -123,9 +120,9 @@ Vm& Platform::adopt_vm(NodeId node_id, std::unique_ptr<Vm> vm) {
   // whichever platform expelled it) stay tombstoned forever.
   vm->set_id(VmId{static_cast<std::int32_t>(vms_.size())});
   vm->set_node(node);
-  for (auto& v : vm->vcpus()) {
-    v->set_id(VcpuId{static_cast<std::int32_t>(vcpus_.size())});
-    vcpus_.push_back(v.get());
+  for (Vcpu& v : vm->vcpus()) {
+    v.set_id(VcpuId{static_cast<std::int32_t>(vcpus_.size())});
+    vcpus_.push_back(&v);
   }
   vms_.push_back(vm.get());
   node.vms().push_back(std::move(vm));

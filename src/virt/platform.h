@@ -148,7 +148,8 @@ class Platform {
   /// Per-node dispatch-jitter streams; empty unless per_node_streams.
   std::vector<sim::Rng> node_streams_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  // Flat id-indexed views (non-owning; owners are the nodes).
+  // Flat id-indexed views (non-owning: nodes own VMs and PCPUs, VMs own
+  // their VCPUs).
   std::vector<Vm*> vms_;
   std::vector<Vcpu*> vcpus_;
   std::vector<Pcpu*> pcpus_;

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 
-#include "simcore/event_queue.h"
 #include "simcore/time.h"
 #include "virt/ids.h"
 #include "virt/workload_api.h"
@@ -33,6 +32,13 @@ class Vcpu {
  public:
   Vcpu(VcpuId id, Vm& vm, int index_in_vm)
       : id_(id), vm_(&vm), index_in_vm_(index_in_vm) {}
+
+  /// Pointer-style member access on a VCPU reference, so that loops such as
+  /// perfbench/atcbench.cc's `for (const auto& v : vm->vcpus())
+  /// v->totals()` compile against the span Vm::vcpus() returns.  New code
+  /// uses `.`.
+  Vcpu* operator->() { return this; }
+  const Vcpu* operator->() const { return this; }
 
   VcpuId id() const { return id_; }
   Vm& vm() { return *vm_; }
@@ -97,7 +103,6 @@ class Vcpu {
     bool in_spin_episode = false;
     bool wait_registered = false;       ///< in its event's waiter list
     Vcpu* next_waiter = nullptr;        ///< SyncEvent's intrusive FIFO link
-    sim::TimerId segment_timer;         ///< compute-finish timer (reusable)
     class Pcpu* on_pcpu = nullptr;      ///< set while kRunning
   };
   EngineState& eng() { return eng_; }

@@ -3,7 +3,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,7 +24,14 @@ enum class VmType : std::uint8_t {
 
 class Vm {
  public:
-  Vm(VmId id, Node& node, VmType type, std::string name);
+  /// Builds the VM with its `vcpus` VCPUs, numbered first_vcpu,
+  /// first_vcpu + 1, ... (the platform assigns the range).  The VCPUs live
+  /// in one block owned by the VM; their addresses never change, and a
+  /// migration hands over the whole Vm, so they never move.
+  Vm(VmId id, Node& node, VmType type, std::string name, int vcpus,
+     VcpuId first_vcpu);
+  Vm(const Vm&) = delete;
+  Vm& operator=(const Vm&) = delete;
 
   VmId id() const { return id_; }
   Node& node() { return *node_; }
@@ -51,13 +58,9 @@ class Vm {
   bool is_parallel() const { return type_ == VmType::kParallel; }
   bool is_dom0() const { return type_ == VmType::kDom0; }
 
-  /// Adds a VCPU (platform assigns the global id).  Construction-time only.
-  Vcpu& add_vcpu(VcpuId id);
-  /// Sizes the VCPU table for `n` add_vcpu calls without regrowth.
-  void reserve_vcpus(std::size_t n) { vcpus_.reserve(n); }
-
-  std::vector<std::unique_ptr<Vcpu>>& vcpus() { return vcpus_; }
-  const std::vector<std::unique_ptr<Vcpu>>& vcpus() const { return vcpus_; }
+  /// The VM's VCPUs, in index_in_vm order.
+  std::span<Vcpu> vcpus() { return vcpus_; }
+  std::span<const Vcpu> vcpus() const { return vcpus_; }
   std::size_t vcpu_count() const { return vcpus_.size(); }
 
   // --- scheduling parameters -------------------------------------------
@@ -157,7 +160,9 @@ class Vm {
   std::string name_;
   std::int64_t global_id_ = -1;
   std::int64_t ws_bytes_ = 0;
-  std::vector<std::unique_ptr<Vcpu>> vcpus_;
+  /// Sized once by the constructor and never grown: VCPU addresses are
+  /// stable for the VM's lifetime.
+  std::vector<Vcpu> vcpus_;
   int weight_ = 256;
   int cap_percent_ = 0;
   sim::SimTime time_slice_ = 0;  // set from ModelParams default at creation

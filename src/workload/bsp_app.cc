@@ -91,14 +91,21 @@ void BspApp::attach() {
   assert(ranks_.empty() && "attach() runs once");
   std::size_t total = 0;
   for (virt::Vm* vm : vm_ptrs_) total += vm->vcpu_count();
+  const bool waits = std::any_of(program_.begin(), program_.end(),
+                                 [](const Step& st) {
+                                   return st.kind == PhaseKind::kThink ||
+                                          st.kind == PhaseKind::kIo;
+                                 });
   // Sized once: VCPUs keep raw pointers to their ranks.
   ranks_.reserve(total);
+  if (waits) waits_.reserve(total);
   int rank = 0;
   for (std::size_t i = 0; i < vm_ptrs_.size(); ++i) {
-    for (auto& vcpu : vm_ptrs_[i]->vcpus()) {
+    for (virt::Vcpu& vcpu : vm_ptrs_[i]->vcpus()) {
       ranks_.emplace_back(*this, static_cast<int>(i), rank,
                           rng_.split(static_cast<std::uint64_t>(rank)));
-      vcpu->set_workload(&ranks_.back());
+      vcpu.set_workload(&ranks_.back());
+      if (waits) waits_.emplace_back(vm_ptrs_[i]->node().platform().engine());
       ++rank;
     }
   }
@@ -191,15 +198,14 @@ void BspApp::release_generation(std::uint64_t gen) {
   }
 }
 
-virt::SyncEvent& BspRank::armed_event(
-    std::optional<virt::SyncEvent>& slot) {
-  if (!slot.has_value()) {
-    virt::Vm& vm = *app_->vm_ptrs_[static_cast<std::size_t>(vm_index_)];
-    slot.emplace(vm.node().platform().engine());
-  } else {
-    slot->reset();
-  }
-  return *slot;
+// Ranks are one per VCPU at cluster scale; their wait events live in
+// BspApp::waits_, not inline.
+static_assert(sizeof(BspRank) <= 96, "BspRank grew past its per-VCPU budget");
+
+virt::SyncEvent& BspRank::armed_wait() {
+  virt::SyncEvent& ev = app_->waits_[static_cast<std::size_t>(rank_)];
+  ev.reset();
+  return ev;
 }
 
 virt::Action BspRank::next(virt::Vcpu& /*self*/) {
@@ -213,14 +219,14 @@ virt::Action BspRank::next(virt::Vcpu& /*self*/) {
             rng_.jittered(st.duration, st.jitter));
       case PhaseKind::kThink: {
         // Blocked sleep: halt until a timer on the VM's own shard fires.
-        virt::SyncEvent& ev = armed_event(think_);
+        virt::SyncEvent& ev = armed_wait();
         virt::Vm& vm = *app_->vm_ptrs_[static_cast<std::size_t>(vm_index_)];
         vm.node().platform().engine().signal_in(
             ev, std::max<SimTime>(rng_.jittered(st.duration, st.jitter), 1));
         return virt::Action::block_wait(ev);
       }
       case PhaseKind::kIo: {
-        virt::SyncEvent& ev = armed_event(io_);
+        virt::SyncEvent& ev = armed_wait();
         virt::SyncEvent* evp = &ev;
         virt::Vm& vm = *app_->vm_ptrs_[static_cast<std::size_t>(vm_index_)];
         BspApp::net_of(vm).submit_disk(vm, st.bytes,

@@ -20,7 +20,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -138,6 +137,11 @@ class BspApp {
   std::vector<virt::SyncEvent> events_;
   std::vector<int> arrivals_;  ///< arrival counter per events_ entry
   std::vector<BspRank> ranks_;  ///< one per VCPU, sized once by attach()
+  /// Rank-private wait events, indexed by rank: a rank blocks on at most
+  /// one think timer or disk completion at a time, so one event serves
+  /// both.  attach() builds them, each on its rank's engine, only when the
+  /// program has think or io steps; otherwise the table stays empty.
+  std::vector<virt::SyncEvent> waits_;
   std::array<int, kGenWindow> coord_arrivals_{};
   std::uint64_t supersteps_done_ = 0;
   sim::SimTime superstep_start_ = 0;
@@ -168,10 +172,9 @@ class BspRank : public virt::Workload {
   }
 
  private:
-  /// Lazily constructs (then resets and reuses) a rank-private wait event
-  /// on the owning VM's engine — think timers and disk completions never
-  /// touch the allocator.
-  virt::SyncEvent& armed_event(std::optional<virt::SyncEvent>& slot);
+  /// Resets and returns this rank's wait event (BspApp::waits_), so think
+  /// timers and disk completions never touch the allocator.
+  virt::SyncEvent& armed_wait();
 
   BspApp* app_;
   int vm_index_;
@@ -179,8 +182,6 @@ class BspRank : public virt::Workload {
   sim::Rng rng_;
   std::uint64_t gen_ = 0;
   std::size_t pc_ = 0;  ///< next step of app_->program_
-  std::optional<virt::SyncEvent> think_;
-  std::optional<virt::SyncEvent> io_;
 };
 
 }  // namespace atcsim::workload

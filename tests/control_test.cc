@@ -104,6 +104,39 @@ TEST(MigrationTest, ScheduledMoveIsNoOpWhenAlreadyInTransitOrArrived) {
   EXPECT_EQ(s.migrator().migrations_adopted(), 1u);
 }
 
+TEST(MigrationTest, RoundTripsDoNotGrowTheEventSlab) {
+  // Segment timers belong to the PCPUs, so an arriving VM needs no timer
+  // slots of its own.  When each VCPU owned one, adopt_and_resume made a
+  // fresh slot per VCPU on every arrival and the source's stayed orphaned:
+  // ten moves of an 8-VCPU VM grew the slab by 68 slots past the first.
+  auto sp = ScenarioBuilder{}
+                .nodes(2)
+                .pcpus_per_node(8)
+                .vcpus_per_vm(8)
+                .approach(Approach::kCR)
+                .seed(9)
+                .build();
+  Scenario& s = *sp;
+  virt::Vm& vm = s.add_loop_vm(0, workload::cpu_descriptor("gcc"), "gcc");
+  ASSERT_EQ(vm.vcpu_count(), 8u);
+  const std::int64_t gid = vm.global_id();
+  s.start();
+  s.run_for(20_ms);
+
+  std::size_t after_first = 0;
+  for (int move = 0; move < 10; ++move) {
+    const std::int32_t dest = (move + 1) % 2;
+    ASSERT_TRUE(s.migrator().can_migrate(vm)) << "move " << move;
+    const sim::SimTime t_r = s.migrator().migrate(vm, dest);
+    s.run_for(t_r - s.simulation().now() + 20_ms);
+    ASSERT_EQ(s.directory().at(gid).node_global, dest) << "move " << move;
+    if (move == 0) after_first = s.simulation().queue().slot_count();
+  }
+  EXPECT_EQ(s.migrator().migrations_adopted(), 10u);
+  EXPECT_LE(s.simulation().queue().slot_count(), after_first + 4)
+      << "event slots grew with every migration";
+}
+
 // ------------------------------------------------------------ rebalancer
 
 TEST(RebalancerTest, MovesBusiestGuestOffTheHotHost) {

@@ -88,10 +88,10 @@ TEST(EngineTest, ComputeRunsToCompletionAndExits) {
   Rig rig(1, 1, exact_params());
   virt::Vm& vm = rig.vm(0, 1);
   ScriptWorkload w({Action::compute(5_ms)});
-  vm.vcpus()[0]->set_workload(&w);
+  vm.vcpus()[0].set_workload(&w);
   rig.start();
   rig.simulation.run_until(1_s);
-  EXPECT_EQ(vm.vcpus()[0]->state(), VcpuState::kDone);
+  EXPECT_EQ(vm.vcpus()[0].state(), VcpuState::kDone);
   EXPECT_EQ(vm.totals().run_time, 5_ms);
 }
 
@@ -101,25 +101,25 @@ TEST(EngineTest, ComputeLongerThanSliceSplitsAcrossSlices) {
   virt::Vm& b = rig.vm(0, 1);
   ScriptWorkload wa({Action::compute(50_ms)});
   ScriptWorkload wb({Action::compute(50_ms)});
-  a.vcpus()[0]->set_workload(&wa);
-  b.vcpus()[0]->set_workload(&wb);
+  a.vcpus()[0].set_workload(&wa);
+  b.vcpus()[0].set_workload(&wb);
   rig.start();
   rig.simulation.run_until(10_s);
   // Both complete; with 30ms default slices each ran in 2 stints.
   EXPECT_EQ(a.totals().run_time, 50_ms);
   EXPECT_EQ(b.totals().run_time, 50_ms);
-  EXPECT_GE(a.vcpus()[0]->totals().dispatches, 2u);
+  EXPECT_GE(a.vcpus()[0].totals().dispatches, 2u);
 }
 
 TEST(EngineTest, VcpuWithoutWorkloadNeverRuns) {
   Rig rig(1, 1, exact_params());
   virt::Vm& vm = rig.vm(0, 2);
   ScriptWorkload w({Action::compute(1_ms)});
-  vm.vcpus()[0]->set_workload(&w);
+  vm.vcpus()[0].set_workload(&w);
   rig.start();
   rig.simulation.run_until(1_s);
-  EXPECT_EQ(vm.vcpus()[1]->state(), VcpuState::kDone);
-  EXPECT_EQ(vm.vcpus()[1]->totals().dispatches, 0u);
+  EXPECT_EQ(vm.vcpus()[1].state(), VcpuState::kDone);
+  EXPECT_EQ(vm.vcpus()[1].totals().dispatches, 0u);
 }
 
 TEST(EngineTest, SpinWaitBurnsCpuUntilSignal) {
@@ -127,7 +127,7 @@ TEST(EngineTest, SpinWaitBurnsCpuUntilSignal) {
   virt::Vm& vm = rig.vm(0, 1);
   virt::SyncEvent ev(rig.platform->engine());
   ScriptWorkload w({Action::spin_wait(ev), Action::compute(1_ms)});
-  vm.vcpus()[0]->set_workload(&w);
+  vm.vcpus()[0].set_workload(&w);
   rig.start();
   rig.simulation.call_at(7_ms, [&] { ev.signal(); });
   rig.simulation.run_until(1_s);
@@ -143,7 +143,7 @@ TEST(EngineTest, SpinOnSignalledEventIsZeroLatencyEpisode) {
   virt::SyncEvent ev(rig.platform->engine());
   ev.signal();
   ScriptWorkload w({Action::spin_wait(ev)});
-  vm.vcpus()[0]->set_workload(&w);
+  vm.vcpus()[0].set_workload(&w);
   rig.start();
   rig.simulation.run_until(1_s);
   EXPECT_EQ(vm.totals().spin_episodes, 1u);
@@ -160,8 +160,8 @@ TEST(EngineTest, DescheduledSpinnerObservesSignalOnlyAtDispatch) {
   virt::SyncEvent ev(rig.platform->engine());
   ScriptWorkload spinner({Action::spin_wait(ev)});
   ScriptWorkload hog({Action::compute(300_ms)});
-  spin_vm.vcpus()[0]->set_workload(&spinner);
-  hog_vm.vcpus()[0]->set_workload(&hog);
+  spin_vm.vcpus()[0].set_workload(&spinner);
+  hog_vm.vcpus()[0].set_workload(&hog);
   rig.start();
   // Fire while the hog holds the PCPU (spinner descheduled).
   rig.simulation.call_at(35_ms, [&] { ev.signal(); });
@@ -176,13 +176,13 @@ TEST(EngineTest, BlockWaitHaltsAndWakes) {
   virt::Vm& vm = rig.vm(0, 1);
   virt::SyncEvent ev(rig.platform->engine());
   ScriptWorkload w({Action::block_wait(ev), Action::compute(2_ms)});
-  vm.vcpus()[0]->set_workload(&w);
+  vm.vcpus()[0].set_workload(&w);
   rig.start();
   rig.simulation.run_until(5_ms);
-  EXPECT_EQ(vm.vcpus()[0]->state(), VcpuState::kBlocked);
+  EXPECT_EQ(vm.vcpus()[0].state(), VcpuState::kBlocked);
   ev.signal();
   rig.simulation.run_until(1_s);
-  EXPECT_EQ(vm.vcpus()[0]->state(), VcpuState::kDone);
+  EXPECT_EQ(vm.vcpus()[0].state(), VcpuState::kDone);
   // Blocked time is not CPU time.
   EXPECT_EQ(vm.totals().run_time, 2_ms);
   EXPECT_EQ(vm.totals().spin_cpu, 0);
@@ -193,7 +193,7 @@ TEST(EngineTest, BlockWakeCountsAsWakeup) {
   virt::Vm& vm = rig.vm(0, 1);
   virt::SyncEvent ev(rig.platform->engine());
   ScriptWorkload w({Action::block_wait(ev)});
-  vm.vcpus()[0]->set_workload(&w);
+  vm.vcpus()[0].set_workload(&w);
   rig.start();
   rig.simulation.call_at(1_ms, [&] { ev.signal(); });
   rig.simulation.run_until(1_s);
@@ -205,7 +205,7 @@ TEST(EngineTest, DepositToRunningVmIsImmediate) {
   Rig rig(1, 1, exact_params());
   virt::Vm& vm = rig.vm(0, 1);
   ScriptWorkload w({Action::compute(100_ms)});
-  vm.vcpus()[0]->set_workload(&w);
+  vm.vcpus()[0].set_workload(&w);
   rig.start();
   bool delivered = false;
   sim::SimTime at = -1;
@@ -225,16 +225,16 @@ TEST(EngineTest, DepositToBlockedVmWakesAndDrainsOnDispatch) {
   virt::Vm& vm = rig.vm(0, 1);
   virt::SyncEvent never(rig.platform->engine());
   ScriptWorkload w({Action::block_wait(never)});
-  vm.vcpus()[0]->set_workload(&w);
+  vm.vcpus()[0].set_workload(&w);
   rig.start();
   rig.simulation.run_until(5_ms);
-  ASSERT_EQ(vm.vcpus()[0]->state(), VcpuState::kBlocked);
+  ASSERT_EQ(vm.vcpus()[0].state(), VcpuState::kBlocked);
   bool delivered = false;
   rig.platform->engine().deposit(vm, [&] { delivered = true; });
   rig.simulation.run_until(10_ms);
   EXPECT_TRUE(delivered);  // woken by the event-channel IRQ, mail drained
   // The VCPU re-blocked afterwards (its event never fires).
-  EXPECT_EQ(vm.vcpus()[0]->state(), VcpuState::kBlocked);
+  EXPECT_EQ(vm.vcpus()[0].state(), VcpuState::kBlocked);
 }
 
 TEST(EngineTest, DepositToDescheduledVmWaitsForDispatch) {
@@ -246,8 +246,8 @@ TEST(EngineTest, DepositToDescheduledVmWaitsForDispatch) {
   virt::SyncEvent never(rig.platform->engine());
   ScriptWorkload spinner({Action::spin_wait(never)});
   ScriptWorkload hog({Action::compute(300_ms)});
-  spin_vm.vcpus()[0]->set_workload(&spinner);
-  hog_vm.vcpus()[0]->set_workload(&hog);
+  spin_vm.vcpus()[0].set_workload(&spinner);
+  hog_vm.vcpus()[0].set_workload(&hog);
   rig.start();
   sim::SimTime delivered_at = -1;
   rig.simulation.call_at(35_ms, [&] {
@@ -275,8 +275,8 @@ TEST(EngineTest, ContextSwitchChargesDebtAndMisses) {
   virt::Vm& b = rig.vm(0, 1);
   ScriptWorkload wa({Action::compute(100_ms)});
   ScriptWorkload wb({Action::compute(100_ms)});
-  a.vcpus()[0]->set_workload(&wa);
-  b.vcpus()[0]->set_workload(&wb);
+  a.vcpus()[0].set_workload(&wa);
+  b.vcpus()[0].set_workload(&wb);
   rig.start();
   rig.simulation.run_until(5_s);
   // Alternating 30ms slices: several switches each, each charging misses.
@@ -296,7 +296,7 @@ TEST(EngineTest, FirstDispatchHasNoRefillDebt) {
   Rig rig(1, 1, p);
   virt::Vm& vm = rig.vm(0, 1);
   ScriptWorkload w({Action::compute(5_ms)});
-  vm.vcpus()[0]->set_workload(&w);
+  vm.vcpus()[0].set_workload(&w);
   rig.start();
   rig.simulation.run_until(1_s);
   // last_stint was 0 at first dispatch, so no refill debt was charged.
@@ -318,12 +318,12 @@ TEST(EngineTest, CacheDebtBoundedByLastStint) {
   virt::Vm& b = rig.vm(0, 1);
   ScriptWorkload wa({Action::compute(20_ms)});
   ScriptWorkload wb({Action::compute(20_ms)});
-  a.vcpus()[0]->set_workload(&wa);
-  b.vcpus()[0]->set_workload(&wb);
+  a.vcpus()[0].set_workload(&wa);
+  b.vcpus()[0].set_workload(&wb);
   rig.start();
   rig.simulation.run_until(30_s);
-  EXPECT_EQ(a.vcpus()[0]->state(), VcpuState::kDone);
-  EXPECT_EQ(b.vcpus()[0]->state(), VcpuState::kDone);
+  EXPECT_EQ(a.vcpus()[0].state(), VcpuState::kDone);
+  EXPECT_EQ(b.vcpus()[0].state(), VcpuState::kDone);
 }
 
 TEST(EngineTest, MinTimeSliceClampsTinySlices) {
@@ -336,13 +336,13 @@ TEST(EngineTest, MinTimeSliceClampsTinySlices) {
   b.set_time_slice(1);
   ScriptWorkload wa({Action::compute(1_ms)});
   ScriptWorkload wb({Action::compute(1_ms)});
-  a.vcpus()[0]->set_workload(&wa);
-  b.vcpus()[0]->set_workload(&wb);
+  a.vcpus()[0].set_workload(&wa);
+  b.vcpus()[0].set_workload(&wb);
   rig.start();
   rig.simulation.run_until(1_s);
   // 2ms of work in 50us slices: at most ~40 dispatches each (plus noise),
   // far fewer than the millions 1ns slices would give.
-  EXPECT_LE(a.vcpus()[0]->totals().dispatches, 50u);
+  EXPECT_LE(a.vcpus()[0].totals().dispatches, 50u);
 }
 
 TEST(EngineTest, PcpuBusyMatchesVcpuRunTotals) {
@@ -352,7 +352,7 @@ TEST(EngineTest, PcpuBusyMatchesVcpuRunTotals) {
     virt::Vm& vm = rig.vm(0, 1);
     scripts.push_back(std::make_unique<ScriptWorkload>(
         std::vector<Action>{Action::compute(40_ms)}));
-    vm.vcpus()[0]->set_workload(scripts.back().get());
+    vm.vcpus()[0].set_workload(scripts.back().get());
   }
   rig.start();
   rig.simulation.run_until(5_s);
@@ -371,8 +371,8 @@ TEST(EngineTest, RequestReschedHonorsRatelimit) {
   virt::Vm& b = rig.vm(0, 1);
   ScriptWorkload wa({Action::compute(20_ms)});
   ScriptWorkload wb({Action::compute(20_ms)});
-  a.vcpus()[0]->set_workload(&wa);
-  b.vcpus()[0]->set_workload(&wb);
+  a.vcpus()[0].set_workload(&wa);
+  b.vcpus()[0].set_workload(&wb);
   rig.start();
   // Preempt immediately after the first dispatch: must be deferred to 1ms.
   virt::Pcpu& pcpu = *rig.platform->node(virt::NodeId{0}).pcpus()[0];
@@ -397,7 +397,7 @@ TEST(EngineTest, TwoIdenticalRunsAreDeterministic) {
       scripts.push_back(std::make_unique<ScriptWorkload>(
           std::vector<Action>{Action::compute(17_ms),
                               Action::compute(9_ms)}));
-      vm.vcpus()[0]->set_workload(scripts.back().get());
+      vm.vcpus()[0].set_workload(scripts.back().get());
     }
     rig.start();
     rig.simulation.run_until(3_s);
@@ -469,11 +469,11 @@ TEST(SyncEventTest, WakesWaitersInRegistrationOrder) {
         &log, std::vector<Action>{Action::compute(lead[i]),
                                   Action::spin_wait(ev),
                                   Action::compute(1_ms)}));
-    vm.vcpus()[static_cast<std::size_t>(i)]->set_workload(ws.back().get());
+    vm.vcpus()[static_cast<std::size_t>(i)].set_workload(ws.back().get());
   }
   rig.start();
   rig.simulation.run_until(5_ms);
-  for (const auto& v : vm.vcpus()) ASSERT_TRUE(v->running());
+  for (const auto& v : vm.vcpus()) ASSERT_TRUE(v.running());
   EXPECT_EQ(waiter_indices(ev), (std::vector<int>{1, 2, 0}));
 
   log.clear();
@@ -481,8 +481,8 @@ TEST(SyncEventTest, WakesWaitersInRegistrationOrder) {
   EXPECT_EQ(log, (std::vector<int>{1, 2, 0}));
   EXPECT_TRUE(ev.waiters().empty());
   for (const auto& v : vm.vcpus()) {
-    EXPECT_FALSE(v->eng().wait_registered);
-    EXPECT_EQ(v->eng().next_waiter, nullptr);
+    EXPECT_FALSE(v.eng().wait_registered);
+    EXPECT_EQ(v.eng().next_waiter, nullptr);
   }
 }
 
@@ -501,8 +501,8 @@ TEST(SyncEventTest, WaiterReRegisteringWhileWokenWaitsForNextSignal) {
   w0.on_step = [&](std::size_t step) {
     if (step == 1) ev.reset();  // woken from the first wait: re-arm
   };
-  vm.vcpus()[0]->set_workload(&w0);
-  vm.vcpus()[1]->set_workload(&w1);
+  vm.vcpus()[0].set_workload(&w0);
+  vm.vcpus()[1].set_workload(&w1);
   rig.start();
   rig.simulation.run_until(5_ms);
   ASSERT_EQ(waiter_indices(ev), (std::vector<int>{0, 1}));
@@ -512,8 +512,8 @@ TEST(SyncEventTest, WaiterReRegisteringWhileWokenWaitsForNextSignal) {
   EXPECT_EQ(log, (std::vector<int>{0, 1}));
   EXPECT_FALSE(ev.signalled());  // re-armed by VCPU 0
   EXPECT_EQ(waiter_indices(ev), (std::vector<int>{0}));
-  EXPECT_TRUE(vm.vcpus()[0]->eng().wait_registered);
-  EXPECT_FALSE(vm.vcpus()[1]->eng().wait_registered);
+  EXPECT_TRUE(vm.vcpus()[0].eng().wait_registered);
+  EXPECT_FALSE(vm.vcpus()[1].eng().wait_registered);
 
   log.clear();
   ev.signal();
@@ -525,7 +525,7 @@ TEST(SyncEventTest, ResetAfterSignalLeavesEmptyList) {
   Rig rig(1);
   virt::Vm& vm = rig.vm(0, 3);
   virt::SyncEvent ev(rig.platform->engine());
-  for (auto& v : vm.vcpus()) ev.add_waiter(*v);
+  for (auto& v : vm.vcpus()) ev.add_waiter(v);
   EXPECT_EQ(waiter_indices(ev), (std::vector<int>{0, 1, 2}));
   ev.signal();
   EXPECT_TRUE(ev.waiters().empty());
@@ -533,8 +533,8 @@ TEST(SyncEventTest, ResetAfterSignalLeavesEmptyList) {
   EXPECT_FALSE(ev.signalled());
   EXPECT_TRUE(ev.waiters().empty());
   // The VCPUs are free to wait again, in a new order.
-  ev.add_waiter(*vm.vcpus()[2]);
-  ev.add_waiter(*vm.vcpus()[0]);
+  ev.add_waiter(vm.vcpus()[2]);
+  ev.add_waiter(vm.vcpus()[0]);
   EXPECT_EQ(waiter_indices(ev), (std::vector<int>{2, 0}));
 }
 
@@ -555,9 +555,9 @@ TEST(SyncEventDeathTest, SecondRegistrationWhileLinkedAsserts) {
   virt::Vm& vm = rig.vm(0, 1);
   virt::SyncEvent a(rig.platform->engine());
   virt::SyncEvent b(rig.platform->engine());
-  a.add_waiter(*vm.vcpus()[0]);
-  EXPECT_DEATH(a.add_waiter(*vm.vcpus()[0]), "already on a waiter list");
-  EXPECT_DEATH(b.add_waiter(*vm.vcpus()[0]), "already on a waiter list");
+  a.add_waiter(vm.vcpus()[0]);
+  EXPECT_DEATH(a.add_waiter(vm.vcpus()[0]), "already on a waiter list");
+  EXPECT_DEATH(b.add_waiter(vm.vcpus()[0]), "already on a waiter list");
 #endif
 }
 
@@ -568,7 +568,7 @@ TEST(SyncEventDeathTest, MovingEventWithWaitersAsserts) {
   Rig rig(1);
   virt::Vm& vm = rig.vm(0, 1);
   virt::SyncEvent ev(rig.platform->engine());
-  ev.add_waiter(*vm.vcpus()[0]);
+  ev.add_waiter(vm.vcpus()[0]);
   EXPECT_DEATH({ virt::SyncEvent moved(std::move(ev)); },
                "moving a SyncEvent with waiters");
 #endif
@@ -580,11 +580,11 @@ TEST(VmTest, FirstBlockedAndAnyRunning) {
   virt::SyncEvent never(rig.platform->engine());
   ScriptWorkload w0({Action::block_wait(never)});
   ScriptWorkload w1({Action::compute(50_ms)});
-  vm.vcpus()[0]->set_workload(&w0);
-  vm.vcpus()[1]->set_workload(&w1);
+  vm.vcpus()[0].set_workload(&w0);
+  vm.vcpus()[1].set_workload(&w1);
   rig.start();
   rig.simulation.run_until(10_ms);
-  EXPECT_EQ(vm.first_blocked(), vm.vcpus()[0].get());
+  EXPECT_EQ(vm.first_blocked(), &vm.vcpus()[0]);
   EXPECT_TRUE(vm.any_running());
 }
 

@@ -135,7 +135,7 @@ struct ShardedPktRig {
           virt::NodeId{0}, virt::VmType::kNonParallel, "g" + std::to_string(s),
           1);
       workloads.push_back(std::make_unique<BusyWorkload>());
-      vm.vcpus()[0]->set_workload(workloads.back().get());
+      vm.vcpus()[0].set_workload(workloads.back().get());
       guests.push_back(&vm);
       stack->platform->set_scheduler(
           virt::NodeId{0}, std::make_unique<sched::CreditScheduler>());

@@ -71,7 +71,7 @@ struct SchedRig {
         1);
     vm.set_weight(weight);
     workloads.push_back(std::make_unique<LoopWorkload>(chunk));
-    vm.vcpus()[0]->set_workload(workloads.back().get());
+    vm.vcpus()[0].set_workload(workloads.back().get());
     return vm;
   }
 
@@ -82,7 +82,7 @@ struct SchedRig {
     for (auto& v : vm.vcpus()) {
       workloads.push_back(
           std::make_unique<SpinForeverWorkload>(platform->engine()));
-      v->set_workload(workloads.back().get());
+      v.set_workload(workloads.back().get());
     }
     return vm;
   }
@@ -158,7 +158,7 @@ TEST(CreditTest, SliceForReadsPerVmSlice) {
   virt::Vm& vm = rig.cpu_vm(5_ms);
   vm.set_time_slice(7_ms);
   sched::CreditScheduler sched;
-  EXPECT_EQ(sched.slice_for(*vm.vcpus()[0]), 7_ms);
+  EXPECT_EQ(sched.slice_for(vm.vcpus()[0]), 7_ms);
 }
 
 TEST(BalanceTest, SiblingsPlacedInDistinctQueues) {
@@ -172,7 +172,7 @@ TEST(BalanceTest, SiblingsPlacedInDistinctQueues) {
   std::vector<int> per_queue(4, 0);
   for (auto& v : vm.vcpus()) {
     per_queue[static_cast<std::size_t>(
-        rig.platform->pcpu(v->sched().queue).index_in_node())]++;
+        rig.platform->pcpu(v.sched().queue).index_in_node())]++;
   }
   for (int c : per_queue) EXPECT_EQ(c, 1);
 }
@@ -187,11 +187,11 @@ TEST(BalanceTest, AffinityPlacementCanStack) {
   int max_same_vm = 0;
   std::vector<std::vector<int>> count(4, std::vector<int>(2, 0));
   for (auto& v : a.vcpus()) {
-    int q = rig.platform->pcpu(v->sched().queue).index_in_node();
+    int q = rig.platform->pcpu(v.sched().queue).index_in_node();
     max_same_vm = std::max(max_same_vm, ++count[q][0]);
   }
   for (auto& v : b.vcpus()) {
-    int q = rig.platform->pcpu(v->sched().queue).index_in_node();
+    int q = rig.platform->pcpu(v.sched().queue).index_in_node();
     max_same_vm = std::max(max_same_vm, ++count[q][1]);
   }
   // Statistically near-certain with this seed; pins the modelled behaviour.
@@ -261,8 +261,8 @@ TEST(VslicerTest, LatencySensitiveVmsGetMicroSlice) {
   virt::Vm& lis = rig.cpu_vm(5_ms);
   ls.set_latency_sensitive(true);
   sched::VSlicerScheduler vs;
-  EXPECT_EQ(vs.slice_for(*ls.vcpus()[0]), 5_ms);
-  EXPECT_EQ(vs.slice_for(*lis.vcpus()[0]), 30_ms);
+  EXPECT_EQ(vs.slice_for(ls.vcpus()[0]), 5_ms);
+  EXPECT_EQ(vs.slice_for(lis.vcpus()[0]), 30_ms);
 }
 
 TEST(VslicerTest, CustomMicroSlice) {
@@ -272,7 +272,7 @@ TEST(VslicerTest, CustomMicroSlice) {
   sched::VSlicerScheduler::VsOptions opts;
   opts.micro_slice = 2_ms;
   sched::VSlicerScheduler vs(opts);
-  EXPECT_EQ(vs.slice_for(*ls.vcpus()[0]), 2_ms);
+  EXPECT_EQ(vs.slice_for(ls.vcpus()[0]), 2_ms);
 }
 
 TEST(MonitorTest, SnapshotsAndResetsPeriodStats) {
@@ -330,7 +330,7 @@ TEST(MonitorTest, SpanningEpisodeConservesPeriodAndTotalSpin) {
     bool done_ = false;
   };
   OneSpinWorkload w(ev);
-  vm.vcpus()[0]->set_workload(&w);
+  vm.vcpus()[0].set_workload(&w);
 
   sync::PeriodMonitor monitor(*rig.platform);
   std::vector<sim::SimTime> period_spin;

@@ -194,7 +194,7 @@ TEST(CpuWorkloadTest, CountsCompletedWork) {
   rig.workloads.push_back(std::make_unique<workload::LoopWorkload>(
       *rig.network, vm, workload::cpu_descriptor("sphinx3"), sim::Rng(4),
       &rig.metrics.rate("cpu")));
-  vm.vcpus()[0]->set_workload(rig.workloads.back().get());
+  vm.vcpus()[0].set_workload(rig.workloads.back().get());
   rig.start();
   rig.simulation.run_until(2_s);
   // Alone on 4 PCPUs: throughput ~= 1 CPU-second per second.
@@ -214,10 +214,10 @@ TEST(PingTest, RecordsRoundTrips) {
   auto& rtt = rig.metrics.latency("rtt");
   rig.workloads.push_back(std::make_unique<workload::PingWorkload>(
       *rig.network, pinger, peer, workload::PingWorkload::Config{}, &rtt));
-  pinger.vcpus()[0]->set_workload(rig.workloads.back().get());
+  pinger.vcpus()[0].set_workload(rig.workloads.back().get());
   rig.workloads.push_back(
       std::make_unique<workload::IdleServerWorkload>(rig.platform->engine()));
-  peer.vcpus()[0]->set_workload(rig.workloads.back().get());
+  peer.vcpus()[0].set_workload(rig.workloads.back().get());
   rig.start();
   rig.simulation.run_until(1_s);
   EXPECT_GT(rtt.count(), 50u);
@@ -233,10 +233,10 @@ TEST(PingTest, RttGrowsWhenPeerContended) {
     auto& rtt = rig.metrics.latency("rtt");
     rig.workloads.push_back(std::make_unique<workload::PingWorkload>(
         *rig.network, pinger, peer, workload::PingWorkload::Config{}, &rtt));
-    pinger.vcpus()[0]->set_workload(rig.workloads.back().get());
+    pinger.vcpus()[0].set_workload(rig.workloads.back().get());
     rig.workloads.push_back(std::make_unique<workload::IdleServerWorkload>(
         rig.platform->engine()));
-    peer.vcpus()[0]->set_workload(rig.workloads.back().get());
+    peer.vcpus()[0].set_workload(rig.workloads.back().get());
     if (contended) {
       // A spinning co-tenant on the peer's node delays its scheduling.
       virt::Vm& spin = rig.vm(1, 1, virt::VmType::kParallel);
@@ -258,7 +258,7 @@ TEST(DiskWorkloadTest, ThroughputBoundedByDiskBandwidth) {
   auto& mb = rig.metrics.rate("disk");
   rig.workloads.push_back(std::make_unique<workload::DiskWorkload>(
       *rig.network, vm, workload::DiskWorkload::Config{}, &mb));
-  vm.vcpus()[0]->set_workload(rig.workloads.back().get());
+  vm.vcpus()[0].set_workload(rig.workloads.back().get());
   rig.start();
   rig.simulation.run_until(3_s);
   const double mbps = mb.per_second();
@@ -274,7 +274,7 @@ TEST(WebTest, ServerAnswersOpenLoopClients) {
   auto server = std::make_unique<workload::WebServerWorkload>(
       *rig.network, vm, workload::WebServerWorkload::Config{}, &resp,
       sim::Rng(9));
-  vm.vcpus()[0]->set_workload(server.get());
+  vm.vcpus()[0].set_workload(server.get());
   workload::HttperfClient::Config cc;
   cc.rate_per_second = 100.0;
   workload::HttperfClient client(*rig.network, vm, *server, cc, sim::Rng(10));
