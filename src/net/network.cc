@@ -40,11 +40,7 @@ std::size_t round_up_pow2(std::size_t n) {
 }  // namespace
 
 Dom0Backend::Dom0Backend(VirtualNetwork& net, virt::Node& node)
-    : net_(&net),
-      node_(&node),
-      jobs_(round_up_pow2(std::max<std::size_t>(net.params().dom0_ring_slots,
-                                                2))),
-      idle_wait_(net.engine()) {}
+    : net_(&net), node_(&node), idle_wait_(net.engine()) {}
 
 void Dom0Backend::grow_ring() {
   const std::size_t old_cap = jobs_.size();
@@ -62,7 +58,14 @@ void Dom0Backend::grow_ring() {
 }
 
 void Dom0Backend::enqueue(Job job) {
-  if (job_count_ == jobs_.size()) grow_ring();
+  if (jobs_.empty()) {
+    // First job: build the ring at its configured size.  Not a growth, so
+    // no net.ring_grow event.
+    jobs_.resize(round_up_pow2(
+        std::max<std::size_t>(net_->params().dom0_ring_slots, 2)));
+  } else if (job_count_ == jobs_.size()) {
+    grow_ring();
+  }
   // Capacity is always a power of two, so the wrap is a mask, not a divide.
   jobs_[(head_ + job_count_) & (jobs_.size() - 1)] = std::move(job);
   ++job_count_;

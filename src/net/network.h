@@ -59,8 +59,9 @@ class Dom0Backend : public virt::Workload {
   std::string name() const override { return "dom0-backend"; }
 
   std::size_t backlog() const { return job_count_; }
-  /// Capacity of the job ring (pre-sized from ModelParams::dom0_ring_slots;
-  /// doubles on overflow, tracing a net.ring_grow event).
+  /// Capacity of the job ring: 0 until the first job, then
+  /// ModelParams::dom0_ring_slots rounded up to a power of two; doubles on
+  /// overflow, tracing a net.ring_grow event.
   std::size_t ring_capacity() const { return jobs_.size(); }
 
  private:
@@ -69,8 +70,9 @@ class Dom0Backend : public virt::Workload {
   VirtualNetwork* net_;
   virt::Node* node_;
   /// FIFO job ring (head_ + job_count_ entries, wrapping): a deque's chunk
-  /// churn would allocate in steady state, a ring only grows.  Pre-sized at
-  /// construction so cold-start growth does not pollute short benchmarks.
+  /// churn would allocate in steady state, a ring only grows.  Built at its
+  /// configured size by the first enqueue, so a node that never does I/O
+  /// carries no ring.
   std::vector<Job> jobs_;
   std::size_t head_ = 0;
   std::size_t job_count_ = 0;

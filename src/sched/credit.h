@@ -56,6 +56,7 @@ class CreditScheduler : public virt::Scheduler {
 
   std::string name() const override { return "credit"; }
   void attach(virt::Node& node, virt::Engine& engine) override;
+  std::size_t timers_to_make() const override { return timers_made_ ? 0 : 2; }
   void vcpu_started(Vcpu& v) override;
   void on_wake(Vcpu& v) override;
   void on_block(Vcpu& v) override;

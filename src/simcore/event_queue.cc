@@ -117,7 +117,7 @@ std::uint32_t EventQueue::alloc_slot() {
          "event slab exceeded the packed-key slot capacity");
   meta_.emplace_back();
   if (payload_chunks_.size() * kChunkSize < meta_.size()) {
-    payload_chunks_.push_back(std::make_unique<Callback[]>(kChunkSize));
+    payload_chunks_.emplace_back();  // allocated by the first one-shot
   }
   // The free list holds at most every slot, so growing it here (and only
   // here) keeps the pop()/cancel() paths allocation-free: a slab high-water
@@ -129,14 +129,20 @@ std::uint32_t EventQueue::alloc_slot() {
   return static_cast<std::uint32_t>(meta_.size() - 1);
 }
 
+EventQueue::Callback& EventQueue::one_shot_payload(std::uint32_t s) {
+  std::unique_ptr<Callback[]>& chunk = payload_chunks_[s >> kChunkShift];
+  if (chunk == nullptr) chunk = std::make_unique<Callback[]>(kChunkSize);
+  return chunk[s & (kChunkSize - 1)];
+}
+
 // ------------------------------------------------------------- one-shots --
 
 EventId EventQueue::schedule(SimTime when, Callback fn) {
   assert(fn && "scheduled callback must be callable");
   const std::uint32_t s = alloc_slot();
+  one_shot_payload(s) = std::move(fn);
   SlotMeta& slot = meta_[s];
-  payload(s) = std::move(fn);
-  slot.is_timer = false;
+  slot.timer = kNotTimer;
   if (++slot.generation == 0) ++slot.generation;  // 0 is the invalid tag
   const std::uint64_t seq = next_seq(s);
   slot.live_seq = seq;
@@ -155,7 +161,7 @@ EventId EventQueue::schedule(SimTime when, Callback fn) {
 bool EventQueue::cancel(EventId id) {
   if (!id.valid() || id.slot >= meta_.size()) return false;
   SlotMeta& slot = meta_[id.slot];
-  if (slot.is_timer || slot.generation != id.generation ||
+  if (slot.timer != kNotTimer || slot.generation != id.generation ||
       slot.live_seq == 0) {
     return false;  // already fired, already cancelled, or slot reused
   }
@@ -170,18 +176,29 @@ bool EventQueue::cancel(EventId id) {
 
 // --------------------------------------------------------------- timers ---
 
-TimerId EventQueue::make_timer(Callback fn) {
+TimerId EventQueue::make_timer(TimerCallback fn) {
   assert(fn && "timer callback must be callable");
   const std::uint32_t s = alloc_slot();
   SlotMeta& slot = meta_[s];
-  payload(s) = std::move(fn);
-  slot.is_timer = true;
+  slot.timer = static_cast<std::uint32_t>(timers_.size());
   slot.live_seq = 0;
+  timers_.push_back(fn);
   return TimerId{s};
 }
 
+void EventQueue::reserve_timers(std::size_t n) {
+  timers_.reserve(timers_.size() + n);
+  heap_.reserve(heap_.size() + n);
+  // Timers come from the free list first; only the rest extend the slab.
+  const std::size_t fresh = n > free_.size() ? n - free_.size() : 0;
+  const std::size_t slots = meta_.size() + fresh;
+  meta_.reserve(slots);
+  free_.reserve(slots);  // alloc_slot keeps free_ able to hold every slot
+}
+
 void EventQueue::arm(TimerId t, SimTime when) {
-  assert(t.valid() && t.slot < meta_.size() && meta_[t.slot].is_timer);
+  assert(t.valid() && t.slot < meta_.size() &&
+         meta_[t.slot].timer != kNotTimer);
   SlotMeta& slot = meta_[t.slot];
   if (slot.live_seq != 0) {
     // Supersede the pending firing; its key dies in place.
@@ -201,7 +218,8 @@ void EventQueue::arm(TimerId t, SimTime when) {
 }
 
 bool EventQueue::disarm(TimerId t) {
-  assert(t.valid() && t.slot < meta_.size() && meta_[t.slot].is_timer);
+  assert(t.valid() && t.slot < meta_.size() &&
+         meta_[t.slot].timer != kNotTimer);
   SlotMeta& slot = meta_[t.slot];
   if (slot.live_seq == 0) return false;  // not armed (or just fired)
   slot.live_seq = 0;
@@ -209,13 +227,6 @@ bool EventQueue::disarm(TimerId t) {
   ++dead_in_heap_;
   maybe_compact();
   return true;
-}
-
-void EventQueue::invoke_timer(std::uint32_t slot) {
-  // Payload chunks are address-stable, so the callback runs in place: even
-  // if it allocates new slots (appending a chunk) or re-arms this timer
-  // (which touches only meta_), the Callback being executed never moves.
-  payload(slot)();
 }
 
 // --------------------------------------------------------------- drain ----
@@ -250,9 +261,10 @@ EventQueue::Popped EventQueue::pop() {
   SlotMeta& slot = meta_[s];
   slot.live_seq = 0;
   --live_count_;
-  if (slot.is_timer) {
-    // Thunk into the slot: the payload stays in place for the next arm().
-    return Popped{k.time, Callback([this, s] { invoke_timer(s); })};
+  if (slot.timer != kNotTimer) {
+    // A copy of the 24-byte callable: the timer stays put for the next
+    // arm(), and the copy runs even if the firing grows timers_.
+    return Popped{k.time, Callback(timers_[slot.timer])};
   }
   Popped out{k.time, std::move(payload(s))};
   free_.push_back(s);

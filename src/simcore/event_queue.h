@@ -2,8 +2,8 @@
 //
 // Zero-allocation design (see DESIGN.md §7 "Event core"):
 //
-//  * Callbacks are stored in `InlineCallback`, a small-buffer-optimized
-//    callable with a fixed 64-byte inline buffer.  Oversized or
+//  * One-shot callbacks are stored in `InlineCallback`, a small-buffer-
+//    optimized callable with a fixed 64-byte inline buffer.  Oversized or
 //    throwing-move callables fail to compile (static_assert), so the hot
 //    path can never fall back to the heap.
 //  * Liveness is tracked by generation-tagged slab slots instead of a hash
@@ -18,10 +18,15 @@
 //    immediately (captured state is released right away) and leaves only a
 //    dead 16-byte key behind; when dead keys outnumber live ones the key
 //    array is compacted in place.
-//  * Recurring timers (`make_timer`/`arm`/`disarm`) keep their callback in a
-//    permanent slot and re-arm in place: per firing cost is one key push,
-//    with no construction, no slot churn and no allocation.  This is what
-//    the engine's per-PCPU slice/dispatch timers use.
+//  * Recurring timers (`make_timer`/`arm`/`disarm`) keep a 24-byte
+//    `TimerCallback` (function pointer + 16 bytes of trivially-copyable
+//    capture) in a dense timer array and re-arm in place: per firing cost
+//    is one key push, with no construction, no slot churn and no
+//    allocation.  This is what the engine's per-PCPU slice/dispatch timers
+//    use.  A firing timer runs from a stack copy of its callable, so it may
+//    make timers or schedule events (growing any array) while it runs.
+//    One-shot payload chunks are allocated only for slab ranges that have
+//    held a one-shot, so a slab of timers carries no 80-byte payloads.
 //
 // Determinism is unchanged from the original binary-heap queue: events pop
 // in (time, insertion-sequence) order, so ties in time are broken by
@@ -45,9 +50,10 @@
 
 namespace atcsim::sim {
 
-// InlineCallback — the 64-byte SBO callable the queue stores — lives in
-// simcore/inline_callback.h; it is shared with the split-driver packet
-// descriptors and the VM event-channel mailboxes.
+// InlineCallback — the 64-byte SBO callable the queue stores for one-shots —
+// and TimerCallback live in simcore/inline_callback.h; InlineCallback is
+// shared with the split-driver packet descriptors and the VM event-channel
+// mailboxes.
 
 /// Opaque handle identifying a scheduled one-shot event; used only for
 /// cancellation.  {slot, generation}: the generation tag makes handles
@@ -63,9 +69,9 @@ struct EventId {
   }
 };
 
-/// Handle to a recurring timer created by EventQueue::make_timer.  Timers
-/// keep their callback in a permanent slab slot for the queue's lifetime and
-/// are re-armed in place.
+/// Handle to a recurring timer created by EventQueue::make_timer.  A timer
+/// owns a permanent slab slot (and an entry of the timer array) for the
+/// queue's lifetime and is re-armed in place.
 struct TimerId {
   std::uint32_t slot = kInvalid;
 
@@ -93,12 +99,18 @@ class EventQueue {
 
   // --- recurring timers --------------------------------------------------
   //
-  // A timer owns one slab slot for the queue's lifetime.  arm() schedules
+  // A timer owns one slab slot for the queue's lifetime; its callable lives
+  // in the dense timer array, not in a payload chunk.  arm() schedules
   // the next firing (superseding any pending one), disarm() cancels it;
   // firing disarms automatically, and the callback may re-arm itself.
   // An armed timer counts toward size()/empty() exactly like a one-shot.
 
-  TimerId make_timer(Callback fn);
+  TimerId make_timer(TimerCallback fn);
+
+  /// Reserves room for `n` more timers (timer array, slab meta and heap
+  /// keys) so that creating them in bulk does not regrow those arrays by
+  /// doubling.
+  void reserve_timers(std::size_t n);
 
   /// Arms (or re-arms) the timer to fire at absolute time `when`.
   void arm(TimerId t, SimTime when);
@@ -122,8 +134,7 @@ class EventQueue {
   SimTime next_time() const;
 
   /// Pops and returns the earliest live event.  Precondition: !empty().
-  /// Invoke `fn` before destroying the queue; for timer events it thunks
-  /// into the timer's slot payload.
+  /// For timer events `fn` holds a copy of the timer's callable.
   struct Popped {
     SimTime time;
     Callback fn;
@@ -144,6 +155,13 @@ class EventQueue {
   /// concurrently live events + timers).
   std::size_t slot_count() const { return meta_.size(); }
 
+  /// One-shot payload chunks allocated so far (kChunkSize slots each).
+  std::size_t payload_chunks() const {
+    std::size_t n = 0;
+    for (const auto& c : payload_chunks_) n += c != nullptr ? 1 : 0;
+    return n;
+  }
+
  private:
   /// Slot index bits packed into the low end of HeapKey::seq_slot; caps the
   /// slab at 16M concurrent events (asserted in alloc_slot) and leaves 40
@@ -163,7 +181,9 @@ class EventQueue {
     }
   };
 
-  /// Per-slot bookkeeping, split from the 72-byte callback payload: the
+  static constexpr std::uint32_t kNotTimer = UINT32_MAX;
+
+  /// Per-slot bookkeeping, split from the 80-byte callback payload: the
   /// liveness checks on pop/next_time/compact hit this dense 16-byte array
   /// instead of sweeping the payload slab.
   struct SlotMeta {
@@ -174,12 +194,14 @@ class EventQueue {
     /// Bumped on every one-shot allocation; EventId carries a copy, so
     /// stale handles to reused slots fail the generation compare.
     std::uint32_t generation = 0;
-    bool is_timer = false;
+    /// Index into timers_ for a timer's slot; kNotTimer for one-shots.
+    std::uint32_t timer = kNotTimer;
   };
+  static_assert(sizeof(SlotMeta) == 16, "SlotMeta must stay 16 bytes");
 
-  /// Payload chunk granularity.  Chunks are address-stable, so a timer's
-  /// callback can run in place even if the callback allocates new slots
-  /// (no move-out/move-back per firing).
+  /// Payload chunk granularity.  A chunk is allocated the first time a
+  /// one-shot lands in its slot range; ranges holding only timers (the
+  /// engine creates its timers first, in one run of slots) never get one.
   static constexpr std::size_t kChunkShift = 8;
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
 
@@ -201,6 +223,9 @@ class EventQueue {
     return payload_chunks_[s >> kChunkShift][s & (kChunkSize - 1)];
   }
 
+  /// payload(s), allocating its chunk on first use.
+  Callback& one_shot_payload(std::uint32_t s);
+
   /// Next packed seq_slot value for `slot`.
   std::uint64_t next_seq(std::uint32_t slot) {
     assert(next_seq_ < (std::uint64_t{1} << (64 - kSlotBits)) &&
@@ -216,7 +241,6 @@ class EventQueue {
   void drop_dead_head() const;
   void prune_due_head() const;
   void maybe_compact();
-  void invoke_timer(std::uint32_t slot);
 
   // `heap_`, `due_` and `dead_in_heap_` are mutable so const accessors
   // (next_time) can prune cancelled heads.
@@ -235,7 +259,9 @@ class EventQueue {
   SimTime frontier_ = -1;  ///< time of the last popped event
 
   std::vector<SlotMeta> meta_;
+  /// One entry per kChunkSize slots; null until a one-shot uses the range.
   std::vector<std::unique_ptr<Callback[]>> payload_chunks_;
+  std::vector<TimerCallback> timers_;
   std::vector<std::uint32_t> free_;
   std::uint64_t next_seq_ = 1;
   std::size_t live_count_ = 0;

@@ -1,6 +1,6 @@
-// Small-buffer-optimized `void()` callable — the zero-allocation currency of
+// Small-buffer-optimized `void()` callables — the zero-allocation currency of
 // every hot path (event queue, split-driver packet descriptors, event-channel
-// mailboxes).
+// mailboxes), plus the compact 24-byte form recurring timers are stored in.
 //
 // Hoisted out of event_queue.h so the network and virt layers can store
 // continuations without paying std::function's heap fallback: callables must
@@ -103,5 +103,52 @@ class InlineCallback {
   alignas(std::max_align_t) unsigned char buf_[kCapacity];
   const Ops* ops_ = nullptr;
 };
+
+/// Recurring-timer callable: a function pointer plus at most 16 bytes of
+/// trivially-copyable capture (`[this, pp]`, `[this, period]`), 24 bytes in
+/// all.  Copyable by memcpy, so the event queue keeps timers in a dense
+/// array and runs a firing timer from a stack copy.  Larger or
+/// non-trivially-copyable captures are a build error.
+class TimerCallback {
+ public:
+  static constexpr std::size_t kCapacity = 16;
+
+  TimerCallback() = default;
+
+  template <typename F,
+            typename D = std::decay_t<F>,
+            typename = std::enable_if_t<!std::is_same_v<D, TimerCallback> &&
+                                        std::is_invocable_r_v<void, D&>>>
+  TimerCallback(F&& f) {  // NOLINT: implicit by design (lambda -> timer)
+    static_assert(sizeof(D) <= kCapacity,
+                  "timer callback exceeds TimerCallback::kCapacity — capture "
+                  "a context pointer instead of values");
+    static_assert(alignof(D) <= alignof(void*),
+                  "timer callback over-aligned for inline storage");
+    static_assert(std::is_trivially_copyable_v<D>,
+                  "timer callback must be trivially copyable");
+    ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+    invoke_ = &invoke<D>;
+  }
+
+  explicit operator bool() const { return invoke_ != nullptr; }
+
+  void operator()() {
+    assert(invoke_ != nullptr && "invoking empty TimerCallback");
+    invoke_(buf_);
+  }
+
+ private:
+  template <typename D>
+  static void invoke(void* p) {
+    (*static_cast<D*>(p))();
+  }
+
+  void (*invoke_)(void*) = nullptr;
+  alignas(void*) unsigned char buf_[kCapacity] = {};
+};
+
+static_assert(sizeof(TimerCallback) <= 24, "timer payload must stay 24 bytes");
+static_assert(std::is_trivially_copyable_v<TimerCallback>);
 
 }  // namespace atcsim::sim

@@ -49,10 +49,13 @@ class Simulation {
   // --- recurring timers: reusable slots, re-armed in place ---------------
   // The engine's per-PCPU slice/dispatch timers go through these; a firing
   // costs one heap-key push with no callback construction or allocation.
+  // A timer callable captures at most 16 trivially-copyable bytes
+  // (TimerCallback, simcore/inline_callback.h).
 
-  TimerId make_timer(EventQueue::Callback fn) {
-    return queue_.make_timer(std::move(fn));
-  }
+  TimerId make_timer(TimerCallback fn) { return queue_.make_timer(fn); }
+  /// Reserves queue space for `n` timers about to be made, so a bulk
+  /// creation (Engine::start) does not regrow the queue's arrays by doubling.
+  void reserve_timers(std::size_t n) { queue_.reserve_timers(n); }
   void arm_at(TimerId t, SimTime when) { queue_.arm(t, when); }
   void arm_in(TimerId t, SimTime delay) { queue_.arm(t, now_ + delay); }
   /// Cancels the pending firing, if any; no-op (returns false) when the

@@ -46,7 +46,15 @@ void Engine::start() {
   // timer belongs to the PCPU and finishes whichever VCPU is current.  Every
   // dispatch cycle re-arms these in place, so the steady state never
   // constructs a callback or touches the allocator.  Creation order is
-  // irrelevant to determinism: only arm() consumes sequence numbers.
+  // irrelevant to determinism: only arm() consumes sequence numbers.  The
+  // queue is sized for these and the schedulers' timers up front, so no
+  // array regrows by doubling while they are made.
+  std::size_t timers = 0;
+  for (auto& node : platform_->nodes()) {
+    assert(node->has_scheduler() && "every node needs a scheduler");
+    timers += 4 * node->pcpus().size() + node->scheduler().timers_to_make();
+  }
+  sim_->reserve_timers(timers);
   for (auto& node : platform_->nodes()) {
     for (auto& p : node->pcpus()) {
       Pcpu* pp = p.get();
@@ -65,7 +73,6 @@ void Engine::start() {
     }
   }
   for (auto& node : platform_->nodes()) {
-    assert(node->has_scheduler() && "every node needs a scheduler");
     node->scheduler().attach(*node, *this);
   }
   for (auto& node : platform_->nodes()) {

@@ -85,9 +85,10 @@ struct ModelParams {
   SimTime dom0_per_kib_cost = 1_us;
 
   /// Initial capacity of each dom0 backend's job ring (expected in-flight
-  /// netback/blkback jobs per node).  The ring doubles when it fills —
-  /// tracing a net.ring_grow event — so this only sets the cold-start size;
-  /// at ~80 B/slot the default costs 512 nodes * 64 * 80 B ≈ 2.6 MB.
+  /// netback/blkback jobs per node).  The ring is built at this size by the
+  /// node's first job and doubles when it fills — tracing a net.ring_grow
+  /// event — so this only sets the cold-start size; at 96 B/slot the
+  /// default costs 64 * 96 B = 6 KiB per node that does I/O.
   std::size_t dom0_ring_slots = 64;
 
   /// Guest-side cost to post or receive one packet.

@@ -6,6 +6,7 @@
 // (gang dispatch, slice adaptation hooks).
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "simcore/simulation.h"
@@ -29,6 +30,10 @@ class Scheduler {
   /// Called once before Engine::start(); the scheduler may schedule its own
   /// periodic events (credit accounting, adaptive controllers).
   virtual void attach(Node& node, Engine& engine) = 0;
+
+  /// Recurring timers the next attach() will make; Engine::start reserves
+  /// queue space for all of them at once.
+  virtual std::size_t timers_to_make() const { return 0; }
 
   /// A VCPU with a program becomes runnable at simulation start.
   virtual void vcpu_started(Vcpu& v) = 0;

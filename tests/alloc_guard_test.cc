@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <vector>
@@ -210,17 +211,11 @@ TEST(AllocGuardTest, TypeAConstructionStaysWithinPerVcpuBudget) {
                            << " VCPUs";
 }
 
-// Memory budget for the same build: bytes requested from operator new per
-// VCPU, summed over build + populate + start (regrowth of vectors counts at
-// every step).  VCPUs live in one block per VM, segment timers are per
-// PCPU and a rank keeps no inline wait events, which puts it near 1.5 KB; a
-// timer slot per VCPU, two inline wait events per rank and a heap object
-// per VCPU put it near 1.67 KB.  Measured with GCC 12.2 / libstdc++ 12
-// (x86-64): 1503 B per VCPU now, 1668 B with the older layout.  Byte
-// counts follow the standard library's growth policy and object sizes, so
-// a different toolchain may move them by a few percent; check the
-// "bytes" property before reading a failure here as a regression.
-TEST(AllocGuardTest, TypeAConstructionStaysWithinPerVcpuByteBudget) {
+// Bytes requested from operator new per VCPU for the same build, summed
+// over build + populate + start (regrowth of vectors counts at every step).
+// Printed by both byte-budget tests so a CI log shows the figure for its
+// own toolchain.
+double construction_bytes_per_vcpu(const char* test) {
   const std::uint64_t before = bytes();
   auto s = atcsim::cluster::ScenarioBuilder{}
                .nodes(16)
@@ -231,12 +226,39 @@ TEST(AllocGuardTest, TypeAConstructionStaysWithinPerVcpuByteBudget) {
   s->start();
   const std::uint64_t made = bytes() - before;
   const std::size_t vcpus = s->platform().vcpu_count();
-  ASSERT_GT(vcpus, 0u);
-  RecordProperty("bytes", static_cast<int>(made));
-  RecordProperty("vcpus", static_cast<int>(vcpus));
+  EXPECT_GT(vcpus, 0u);
+  if (vcpus == 0) return 0.0;
+  ::testing::Test::RecordProperty("bytes", static_cast<int>(made));
+  ::testing::Test::RecordProperty("vcpus", static_cast<int>(vcpus));
   const double per_vcpu =
       static_cast<double>(made) / static_cast<double>(vcpus);
-  EXPECT_LE(per_vcpu, 1580.0) << made << " bytes for " << vcpus << " VCPUs";
+  std::printf("[ %s ] %llu bytes for %zu VCPUs = %.1f B/VCPU\n", test,
+              static_cast<unsigned long long>(made), vcpus, per_vcpu);
+  return per_vcpu;
+}
+
+// Memory budget: VCPUs live in one block per VM, segment timers are per
+// PCPU and a rank keeps no inline wait events, which puts it near 1.5 KB; a
+// timer slot per VCPU, two inline wait events per rank and a heap object
+// per VCPU put it near 1.67 KB.  Measured with GCC 12.2 / libstdc++ 12
+// (x86-64): 1503 B per VCPU with that layout, 1668 B with the older one.
+// Byte counts follow the standard library's growth policy and object
+// sizes, so a different toolchain may move them by a few percent; check
+// the printed figure before reading a failure here as a regression.
+TEST(AllocGuardTest, TypeAConstructionStaysWithinPerVcpuByteBudget) {
+  const double per_vcpu = construction_bytes_per_vcpu("type-A build");
+  EXPECT_LE(per_vcpu, 1580.0);
+}
+
+// Tighter budget for the same build: dom0 job rings are built by a node's
+// first job rather than at construction, timers keep a 24-byte callable in
+// a dense array instead of an 80-byte payload slot, and Engine::start
+// sizes the queue for its timers once instead of doubling into them.
+// Measured with GCC 12.2 / libstdc++ 12 (x86-64): 1170 B per VCPU now,
+// 1503 B with rings and timer payloads built eagerly.
+TEST(AllocGuardTest, TypeAConstructionStaysWithinLeanPerVcpuByteBudget) {
+  const double per_vcpu = construction_bytes_per_vcpu("type-A build, lean");
+  EXPECT_LE(per_vcpu, 1250.0);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "net/network.h"
+#include "obs/trace.h"
 #include "sched/credit.h"
 #include "virt/platform.h"
 
@@ -223,6 +224,57 @@ TEST(NetTest, CountersAccumulate) {
   EXPECT_EQ(rig.network->counters().packets, 3u);
   EXPECT_EQ(rig.network->counters().bytes, 3500u);
 }
+
+// dom0 job rings are built by a node's first job: a run without I/O
+// carries none.
+TEST(NetTest, NodesWithoutIoCarryNoJobRing) {
+  NetRig rig(4);
+  for (int n = 0; n < 4; ++n) rig.busy_vm(n);
+  rig.start();
+  rig.simulation.run_until(50_ms);
+  for (int n = 0; n < 4; ++n) {
+    EXPECT_EQ(rig.network->backend(n).ring_capacity(), 0u) << "node " << n;
+  }
+}
+
+#if ATCSIM_TRACE_ENABLED
+TEST(NetTest, FirstJobBuildsConfiguredRingAndOverflowDoubles) {
+  obs::TraceSink sink(obs::TraceConfig{0, obs::kAllCats});  // outlives rig
+  virt::ModelParams p;
+  p.dom0_ring_slots = 5;  // rounds up to 8
+  NetRig rig(1, p);
+  rig.busy_vm(0);
+  rig.simulation.set_trace(&sink);
+  rig.start();
+  const auto ring_grows = [&] {
+    std::vector<obs::TraceEvent> grows;
+    for (const obs::TraceEvent& e : sink.snapshot()) {
+      if (e.cat == obs::TraceCat::kNet && e.type == obs::ev::kRingGrow) {
+        grows.push_back(e);
+      }
+    }
+    return grows;
+  };
+
+  net::Dom0Backend& backend = rig.network->backend(0);
+  int done = 0;
+  backend.enqueue({10_us, [&done] { ++done; }});
+  EXPECT_EQ(backend.ring_capacity(), 8u);
+  EXPECT_TRUE(ring_grows().empty()) << "building the ring is not a growth";
+
+  // Fill the ring (dom0 has not run yet), then overflow it by one.
+  for (int i = 1; i < 9; ++i) backend.enqueue({10_us, [&done] { ++done; }});
+  EXPECT_EQ(backend.ring_capacity(), 16u);
+  const auto grows = ring_grows();
+  ASSERT_EQ(grows.size(), 1u);
+  EXPECT_EQ(grows[0].a0, 16);
+  EXPECT_EQ(grows[0].a1, 8);
+
+  rig.simulation.run_until(50_ms);
+  EXPECT_EQ(done, 9);
+  EXPECT_EQ(backend.backlog(), 0u);
+}
+#endif  // ATCSIM_TRACE_ENABLED
 
 }  // namespace
 }  // namespace atcsim

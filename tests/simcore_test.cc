@@ -185,9 +185,8 @@ TEST(EventQueueTest, TimerDisarmCancelsPendingFiring) {
 }
 
 TEST(EventQueueTest, TimerCallbackMayCreateSlotsWhileFiring) {
-  // Firing a timer whose callback schedules new events can grow the slab
-  // under the invoked payload; the queue relocates the payload around the
-  // call, so this must be safe even when the slab vector reallocates.
+  // Firing a timer whose callback schedules new events grows the slab
+  // while the timer runs; the timer must stay intact for its next arm().
   EventQueue q;
   std::vector<TimerId> timers;
   int fired = 0;
@@ -206,6 +205,79 @@ TEST(EventQueueTest, TimerCallbackMayCreateSlotsWhileFiring) {
   EXPECT_EQ(p.time, 2);
   p.fn();
   EXPECT_EQ(fired, 2);
+}
+
+static_assert(sizeof(TimerCallback) <= 24,
+              "a timer payload is a function pointer plus 16 bytes");
+
+TEST(EventQueueTest, TimerMayMakeTimersAndEventsWhileFiring) {
+  // The firing timer runs from a copy of its callable, so making 1000
+  // timers (regrowing the timer array several times) and 1000 one-shots
+  // from inside it must leave its own capture readable.  Under ASan a
+  // callback running from the array's old storage reads freed memory.
+  EventQueue q;
+  struct Ctx {
+    EventQueue* q;
+    std::vector<TimerId> made;
+    int child_fired = 0;
+    int one_shots_fired = 0;
+    std::int64_t seen_tag = 0;
+    SimTime one_shots_at = 100;  ///< one-shots go here, never in the past
+  } ctx{&q, {}, 0, 0, 0};
+  const std::int64_t tag = 0x5eed'cafe'f00dLL;
+  const TimerId parent = q.make_timer([c = &ctx, tag] {
+    for (int i = 0; i < 1000; ++i) {
+      c->made.push_back(c->q->make_timer([c] { ++c->child_fired; }));
+      c->q->schedule(c->one_shots_at + i, [c] { ++c->one_shots_fired; });
+    }
+    c->seen_tag = tag;  // read after the timer array reallocated
+  });
+  q.arm(parent, 1);
+  q.pop().fn();
+  EXPECT_EQ(ctx.seen_tag, tag);
+  ASSERT_EQ(ctx.made.size(), 1000u);
+  for (std::size_t i = 0; i < ctx.made.size(); ++i) {
+    q.arm(ctx.made[i], 2000 + static_cast<SimTime>(i));
+  }
+  SimTime last = 0;
+  while (!q.empty()) {
+    auto p = q.pop();
+    EXPECT_GE(p.time, last);
+    last = p.time;
+    p.fn();
+  }
+  EXPECT_EQ(ctx.one_shots_fired, 1000);
+  EXPECT_EQ(ctx.child_fired, 1000);
+
+  // The parent timer itself is intact: it re-arms and fires again.
+  ctx.made.clear();
+  ctx.seen_tag = 0;
+  ctx.one_shots_at = last + 2;
+  q.arm(parent, last + 1);
+  q.pop().fn();
+  EXPECT_EQ(ctx.seen_tag, tag);
+  EXPECT_EQ(ctx.made.size(), 1000u);
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(ctx.one_shots_fired, 2000);
+}
+
+TEST(EventQueueTest, TimerOnlyQueueAllocatesNoPayloadChunk) {
+  EventQueue q;
+  int fired = 0;
+  std::vector<TimerId> timers;
+  for (int i = 0; i < 1000; ++i) {
+    timers.push_back(q.make_timer([&fired] { ++fired; }));
+  }
+  for (SimTime round = 1; round <= 3; ++round) {
+    for (TimerId t : timers) q.arm(t, round);
+    while (!q.empty()) q.pop().fn();
+  }
+  EXPECT_EQ(fired, 3000);
+  EXPECT_EQ(q.payload_chunks(), 0u) << "timers must not carry payload chunks";
+
+  // The first one-shot pays for exactly one chunk.
+  q.schedule(10, [] {});
+  EXPECT_EQ(q.payload_chunks(), 1u);
 }
 
 TEST(InlineCallbackTest, MoveTransfersAndEmptiesSource) {
