@@ -8,10 +8,17 @@
 //                               "tickle"); shrinks CR's I/O waits
 //   * no tick preemption     -> under-served VMs wait whole slices
 //   * coarse jitter          -> straggler spread dominates sub-ms slices
-#include "report_common.h"
+#include <cstdio>
+#include <iostream>
+#include <string>
+
+#include "cluster/scenarios.h"
+#include "exp/bench_util.h"
+#include "metrics/report.h"
+#include "workload/npb_profiles.h"
 
 using namespace atcsim;
-using namespace atcsim::bench;
+using namespace atcsim::sim::time_literals;
 
 namespace {
 
@@ -33,8 +40,8 @@ Outcome run(const virt::ModelParams& params) {
     cluster::Scenario& s = *sp;
     cluster::build_type_a(s, "lu", workload::NpbClass::kB);
     s.start();
-    if (forced_slice > 0) set_global_guest_slice(s, forced_slice);
-    s.warmup_and_measure(scaled(2_s), scaled(4_s));
+    if (forced_slice > 0) exp::set_global_guest_slice(s, forced_slice);
+    s.warmup_and_measure(exp::scaled(2_s), exp::scaled(4_s));
     return s.mean_superstep_with_prefix("lu.B") * 1e3;
   };
   o.cr_ms = one(cluster::Approach::kCR, 0);
@@ -46,8 +53,8 @@ Outcome run(const virt::ModelParams& params) {
 }  // namespace
 
 int main() {
-  banner("Ablation — which model mechanisms carry the result",
-         "lu.B, 4 nodes x 4x8-VCPU VMs; CR vs ATC vs fixed 0.03ms slice");
+  exp::banner("Ablation — which model mechanisms carry the result",
+              "lu.B, 4 nodes x 4x8-VCPU VMs; CR vs ATC vs fixed 0.03ms slice");
   metrics::Table t("ablations (superstep ms; gain = CR/ATC)",
                    {"variant", "CR", "ATC", "gain", "fixed 0.03ms"});
 

@@ -28,24 +28,30 @@
 // the sharded point is a separate record, not a determinism check (those
 // live in pdes_invariance_test with scripted moves).
 //
-//   ctrl_report                          # print the run record to stdout
-//   ctrl_report --label x --append ../BENCH_ctrl.json
+// The run record is one JSON object on stdout (progress goes to stderr).
+//
+//   ctrl_report                          # 512 hosts
 //   ctrl_report --quick                  # 64 hosts, short windows (CI)
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "report_common.h"
+#include "cluster/scenarios.h"
 
 namespace {
 
 using namespace atcsim;
-namespace rb = atcsim::bench;
 using namespace sim::time_literals;
+using Clock = std::chrono::steady_clock;
+
+std::string json_number(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  return buf;
+}
 
 struct CtrlRun {
   cluster::Approach approach = cluster::Approach::kCR;
@@ -69,12 +75,12 @@ CtrlRun run_cell(cluster::Approach a, int shards, int nodes,
   cluster::Scenario& s = *sp;
   cluster::build_mixed(s);
   s.start();
-  const auto t0 = rb::Clock::now();
+  const auto t0 = Clock::now();
   s.warmup_and_measure(warmup, measure);
   CtrlRun r;
   r.approach = a;
   r.shards = shards;
-  r.wall_s = std::chrono::duration<double>(rb::Clock::now() - t0).count();
+  r.wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
   r.vc_superstep_s = s.mean_superstep_with_prefix("VC");
   r.spin_latency_s = s.avg_parallel_spin_latency();
   r.llc_miss_rate = s.llc_miss_rate();
@@ -86,35 +92,26 @@ CtrlRun run_cell(cluster::Approach a, int shards, int nodes,
 }
 
 void emit_run(std::ostringstream& os, const CtrlRun& r) {
-  os << "      \"" << cluster::approach_name(r.approach);
+  os << "  \"" << cluster::approach_name(r.approach);
   if (r.shards > 1) os << "_s" << r.shards;
-  os << "\": {\"vc_superstep_s\": " << rb::json_number(r.vc_superstep_s)
-     << ", \"spin_latency_s\": " << rb::json_number(r.spin_latency_s)
-     << ", \"llc_miss_rate\": " << rb::json_number(r.llc_miss_rate)
+  os << "\": {\"vc_superstep_s\": " << json_number(r.vc_superstep_s)
+     << ", \"spin_latency_s\": " << json_number(r.spin_latency_s)
+     << ", \"llc_miss_rate\": " << json_number(r.llc_miss_rate)
      << ", \"migrations\": " << r.migrations
      << ", \"events\": " << r.events
-     << ", \"wall_s\": " << rb::json_number(r.wall_s) << "},\n";
+     << ", \"wall_s\": " << json_number(r.wall_s) << "},\n";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string label = "dev";
-  std::string append_path;
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--label" && i + 1 < argc) {
-      label = argv[++i];
-    } else if (a == "--append" && i + 1 < argc) {
-      append_path = argv[++i];
-    } else if (a == "--quick") {
+    if (a == "--quick") {
       quick = true;  // small cell, short windows: CI smoke on tiny runners
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--label str] [--append BENCH_ctrl.json] "
-                   "[--quick]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--quick]\n", argv[0]);
       return 2;
     }
   }
@@ -143,37 +140,28 @@ int main(int argc, char** argv) {
                measure));
 
   std::ostringstream run;
-  run << "    {\n"
-      << "      \"label\": \"" << label << "\",\n"
-      << "      \"date\": \"" << rb::iso_now() << "\",\n"
-      << "      \"build_type\": \"" << ATCSIM_BUILD_TYPE << "\",\n"
-      << "      \"host_cores\": " << std::thread::hardware_concurrency()
+  run << "{\n"
+      << "  \"build_type\": \"" << ATCSIM_BUILD_TYPE << "\",\n"
+      << "  \"host_cores\": " << std::thread::hardware_concurrency()
       << ",\n"
-      << "      \"nodes\": " << nodes << ",\n"
-      << "      \"sim_ms\": " << (warmup + measure) / 1'000'000 << ",\n"
-      << "      \"methodology\": \"mixed trace-synthesized cell; metrics "
+      << "  \"nodes\": " << nodes << ",\n"
+      << "  \"sim_ms\": " << (warmup + measure) / 1'000'000 << ",\n"
+      << "  \"methodology\": \"mixed trace-synthesized cell; metrics "
          "from the post-warmup window; vs_cr normalizes each approach's "
          "mean VC superstep to the CR baseline (CR = 1, smaller is "
          "better); the _s4 point runs the same cell through the sharded "
          "engine with cell-local rebalancing\",\n";
   for (const CtrlRun& r : runs) emit_run(run, r);
   const double cr = runs.front().vc_superstep_s;
-  run << "      \"vs_cr\": {";
+  run << "  \"vs_cr\": {";
   for (std::size_t i = 1; i < runs.size(); ++i) {
     run << (i > 1 ? ", " : "") << "\""
         << cluster::approach_name(runs[i].approach)
         << (runs[i].shards > 1 ? "_s" + std::to_string(runs[i].shards) : "")
         << "\": "
-        << rb::json_number(cr > 0 ? runs[i].vc_superstep_s / cr : 0);
+        << json_number(cr > 0 ? runs[i].vc_superstep_s / cr : 0);
   }
-  run << "}\n    }";
-
-  if (append_path.empty()) {
-    std::printf("%s\n", run.str().c_str());
-    return 0;
-  }
-  rb::append_history(append_path, run.str(), "ctrl");
-  std::printf("ctrl_report: appended run \"%s\" to %s\n", label.c_str(),
-              append_path.c_str());
+  run << "}\n}";
+  std::printf("%s\n", run.str().c_str());
   return 0;
 }

@@ -7,10 +7,18 @@
 //  2. Flexible non-parallel slices (adaptive_nonparallel): web-like VMs are
 //     detected by wake-up rate and given a shorter slice automatically
 //     (instead of the static admin interface), CPU VMs keep the default.
-#include "report_common.h"
+#include <cstdio>
+#include <iostream>
+#include <string>
+
+#include "cluster/scenario.h"
+#include "exp/bench_util.h"
+#include "metrics/report.h"
+#include "workload/apps.h"
+#include "workload/npb_profiles.h"
 
 using namespace atcsim;
-using namespace atcsim::bench;
+using namespace atcsim::sim::time_literals;
 
 namespace {
 
@@ -48,7 +56,7 @@ Row run(cluster::Approach a, const atc::AtcConfig& atc_cfg) {
                 workload::npb_descriptor("is", workload::NpbClass::kB),
                 std::move(ivm1));
   s.start();
-  s.warmup_and_measure(scaled(3_s), scaled(5_s));
+  s.warmup_and_measure(exp::scaled(3_s), exp::scaled(5_s));
   Row r;
   r.parallel_ms = (s.mean_superstep("vc0") + s.mean_superstep("vc1")) / 2 * 1e3;
   r.web_ms = s.metrics().latency("web").mean_seconds() * 1e3;
@@ -60,8 +68,8 @@ Row run(cluster::Approach a, const atc::AtcConfig& atc_cfg) {
 }  // namespace
 
 int main() {
-  banner("Extensions — Sec. VI future work, measured",
-         "4 nodes: 2 virtual clusters + web + sphinx3 + independent VMs");
+  exp::banner("Extensions — Sec. VI future work, measured",
+              "4 nodes: 2 virtual clusters + web + sphinx3 + independent VMs");
 
   atc::AtcConfig declared;  // the published design (admin declares types)
   atc::AtcConfig classified;

@@ -5,10 +5,17 @@
 // Paper shape: CS's normalized execution time *increases* with cluster size
 // (0.30 at 2 VMs -> 0.44 at 32 VMs): gang dispatch fixes intra-VM stalls but
 // VMs of one cluster on different nodes stay unaligned.
-#include "report_common.h"
+#include <cstdio>
+#include <iostream>
+#include <string>
+
+#include "cluster/scenarios.h"
+#include "exp/bench_util.h"
+#include "metrics/report.h"
+#include "workload/npb_profiles.h"
 
 using namespace atcsim;
-using namespace atcsim::bench;
+using namespace atcsim::sim::time_literals;
 
 namespace {
 
@@ -21,15 +28,15 @@ double run(cluster::Approach a, int nodes) {
   cluster::Scenario& s = *sp;
   cluster::build_type_a(s, "lu", workload::NpbClass::kB);
   s.start();
-  s.warmup_and_measure(scaled(2_s), scaled(6_s));
+  s.warmup_and_measure(exp::scaled(2_s), exp::scaled(6_s));
   return s.mean_superstep_with_prefix("lu.B");
 }
 
 }  // namespace
 
 int main() {
-  banner("Figure 1 — CS vs CR scalability (lu)",
-         "N nodes x 4 VMs x 8 VCPUs, four identical virtual clusters");
+  exp::banner("Figure 1 — CS vs CR scalability (lu)",
+              "N nodes x 4 VMs x 8 VCPUs, four identical virtual clusters");
   metrics::Table t("Fig. 1: normalized execution time of lu (vs CR)",
                    {"VMs per cluster", "CR", "CS"});
   for (int nodes : {2, 4, 8, 16, 32}) {

@@ -4,10 +4,18 @@
 // hosting bonnie++, sphinx3, stream and ping.  Paper shape: under CS, ping
 // RTT is ~1.75x CR, sphinx3 ~1.11x slower, stream slightly slower, bonnie++
 // roughly unaffected.
-#include "report_common.h"
+#include <cstdio>
+#include <iostream>
+#include <string>
+
+#include "cluster/scenario.h"
+#include "exp/bench_util.h"
+#include "metrics/report.h"
+#include "workload/apps.h"
+#include "workload/npb_profiles.h"
 
 using namespace atcsim;
-using namespace atcsim::bench;
+using namespace atcsim::sim::time_literals;
 
 namespace {
 
@@ -39,7 +47,7 @@ FigResult run(cluster::Approach a) {
   s.add_loop_vm(1, workload::cpu_descriptor("stream"), "stream");
   s.add_ping_pair(1, 0, "ping");
   s.start();
-  s.warmup_and_measure(scaled(2_s), scaled(6_s));
+  s.warmup_and_measure(exp::scaled(2_s), exp::scaled(6_s));
   FigResult r;
   r.bonnie_mbps = s.metrics().rate("bonnie").per_second();
   r.sphinx_rate = s.metrics().rate("sphinx3").per_second();
@@ -51,8 +59,8 @@ FigResult run(cluster::Approach a) {
 }  // namespace
 
 int main() {
-  banner("Figure 2 — CS impact on non-parallel applications",
-         "2 nodes, 3 virtual clusters + bonnie++/sphinx3/stream/ping VMs");
+  exp::banner("Figure 2 — CS impact on non-parallel applications",
+              "2 nodes, 3 virtual clusters + bonnie++/sphinx3/stream/ping VMs");
   const FigResult cr = run(cluster::Approach::kCR);
   const FigResult cs = run(cluster::Approach::kCS);
   metrics::Table t("Fig. 2: non-parallel metrics, CS normalized to CR",

@@ -9,17 +9,23 @@
 // The (app x slice) grid is declared as one exp::SweepSpec and executed in
 // parallel with result caching; re-runs with a warm .atcsim-cache/ skip the
 // simulations entirely.
+#include <cstdio>
+#include <iostream>
 #include <vector>
 
-#include "report_common.h"
+#include "exp/bench_util.h"
+#include "exp/emit.h"
+#include "exp/runner.h"
+#include "metrics/report.h"
 #include "simcore/stats.h"
+#include "workload/npb_profiles.h"
 
 using namespace atcsim;
-using namespace atcsim::bench;
+using namespace atcsim::sim::time_literals;
 
 int main(int argc, char** argv) {
-  banner("Figure 5 — spinlock latency & performance vs time slice",
-         "2 nodes x 4x16-VCPU VMs (8:1), four identical virtual clusters");
+  exp::banner("Figure 5 — spinlock latency & performance vs time slice",
+              "2 nodes x 4x16-VCPU VMs (8:1), four identical virtual clusters");
 
   exp::SweepSpec spec;
   spec.name = "fig05_tslice_sweep";
@@ -32,8 +38,8 @@ int main(int argc, char** argv) {
   spec.slices = {30_ms, 24_ms, 18_ms, 12_ms, 6_ms,
                  1_ms,  600_us, 300_us, 150_us, 100_us};
   spec.seeds = {42};
-  spec.warmup = scaled(1_s);
-  spec.measure = scaled(8_s);
+  spec.warmup = exp::scaled(1_s);
+  spec.measure = exp::scaled(8_s);
 
   const auto results = exp::run_sweep(
       spec, [](const exp::Trial& t) { return exp::run_type_a_trial(t); });

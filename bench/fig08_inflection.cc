@@ -8,15 +8,21 @@
 // metric over {0.5, 0.4, 0.3, 0.2, 0.1, 0.03} ms picks 0.3 ms as the uniform
 // minimum time-slice threshold (paper distances: 0.034, 0.020, 0.018, 0.049,
 // 0.039, 0.069).
+#include <cstdio>
+#include <iostream>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "atc/threshold.h"
-#include "report_common.h"
 #include "cache/xenoprof.h"
+#include "cluster/scenarios.h"
+#include "exp/bench_util.h"
+#include "metrics/report.h"
+#include "workload/npb_profiles.h"
 
 using namespace atcsim;
-using namespace atcsim::bench;
+using namespace atcsim::sim::time_literals;
 
 namespace {
 
@@ -38,8 +44,8 @@ Point run(const std::string& app, sim::SimTime slice) {
   cluster::Scenario& s = *sp;
   cluster::build_type_a(s, app, workload::NpbClass::kC);
   s.start();
-  set_global_guest_slice(s, slice);
-  s.warmup_and_measure(scaled(1_s), scaled(8_s));
+  exp::set_global_guest_slice(s, slice);
+  s.warmup_and_measure(exp::scaled(1_s), exp::scaled(8_s));
   return Point{s.mean_superstep_with_prefix(app),
                s.avg_parallel_spin_latency() * 1e3, s.llc_miss_rate()};
 }
@@ -47,9 +53,9 @@ Point run(const std::string& app, sim::SimTime slice) {
 }  // namespace
 
 int main() {
-  banner("Figure 8 — performance inflection of short slices (NPB class C) "
-         "+ Sec. III-B Euclidean threshold",
-         "2 nodes x 4x16-VCPU VMs, four identical virtual clusters");
+  exp::banner("Figure 8 — performance inflection of short slices (NPB class C) "
+              "+ Sec. III-B Euclidean threshold",
+              "2 nodes x 4x16-VCPU VMs, four identical virtual clusters");
   const std::vector<sim::SimTime> slices = {30_ms,  6_ms,   1_ms,  500_us,
                                             400_us, 300_us, 200_us, 100_us,
                                             30_us};

@@ -4,10 +4,18 @@
 // Paper shape: sphinx3 (CPU-bound) degrades as the slice shrinks (context
 // switches), ping RTT *improves* (the peer gets scheduled sooner), stream
 // suffers slightly (cache flushes).
-#include "report_common.h"
+#include <cstdio>
+#include <iostream>
+#include <string>
+
+#include "cluster/scenario.h"
+#include "exp/bench_util.h"
+#include "metrics/report.h"
+#include "workload/apps.h"
+#include "workload/npb_profiles.h"
 
 using namespace atcsim;
-using namespace atcsim::bench;
+using namespace atcsim::sim::time_literals;
 
 namespace {
 
@@ -35,8 +43,8 @@ FigResult run(sim::SimTime slice) {
   s.add_loop_vm(1, workload::cpu_descriptor("stream"), "stream");
   s.add_ping_pair(1, 0, "ping");
   s.start();
-  set_global_guest_slice(s, slice);
-  s.warmup_and_measure(scaled(2_s), scaled(6_s));
+  exp::set_global_guest_slice(s, slice);
+  s.warmup_and_measure(exp::scaled(2_s), exp::scaled(6_s));
   return FigResult{s.metrics().rate("sphinx3").per_second(),
                 s.metrics().latency("ping").mean_seconds() * 1e3,
                 s.metrics().rate("stream").per_second()};
@@ -45,9 +53,9 @@ FigResult run(sim::SimTime slice) {
 }  // namespace
 
 int main() {
-  banner("Figure 9 — non-parallel applications vs time slice",
-         "2 nodes, 3 virtual clusters + sphinx3/stream/ping VMs, global "
-         "slice sweep");
+  exp::banner("Figure 9 — non-parallel applications vs time slice",
+              "2 nodes, 3 virtual clusters + sphinx3/stream/ping VMs, global "
+              "slice sweep");
   metrics::Table t("Fig. 9: non-parallel metrics vs time slice",
                    {"time slice", "sphinx3 norm. exec time",
                     "ping RTT (ms)", "stream bandwidth (MB/s)"});

@@ -8,17 +8,25 @@
 //
 // The (app x approach x nodes) grid — CR baselines included — runs through
 // the experiment runner: parallel across host cores and cached on disk.
+#include <cstdio>
+#include <iostream>
 #include <map>
+#include <string>
 #include <utility>
 
-#include "report_common.h"
+#include "exp/bench_util.h"
+#include "exp/emit.h"
+#include "exp/runner.h"
+#include "metrics/report.h"
+#include "workload/npb_profiles.h"
 
 using namespace atcsim;
-using namespace atcsim::bench;
+using namespace atcsim::sim::time_literals;
 
 int main(int argc, char** argv) {
-  banner("Figure 10 — type A: same app on four virtual clusters, 2-32 nodes",
-         "N nodes x 4x8-VCPU VMs (4:1), normalized execution time vs CR");
+  exp::banner(
+      "Figure 10 — type A: same app on four virtual clusters, 2-32 nodes",
+      "N nodes x 4x8-VCPU VMs (4:1), normalized execution time vs CR");
   const std::vector<cluster::Approach> columns = {
       cluster::Approach::kBS, cluster::Approach::kCS, cluster::Approach::kDSS,
       cluster::Approach::kATC};
@@ -34,8 +42,8 @@ int main(int argc, char** argv) {
   spec.nodes = {2, 4, 8, 16, 32};
   spec.vcpus_per_vm = {8};
   spec.seeds = {42};
-  spec.warmup = scaled(2_s);
-  spec.measure = scaled(5_s);
+  spec.warmup = exp::scaled(2_s);
+  spec.measure = exp::scaled(5_s);
 
   const auto results = exp::run_sweep(
       spec, [](const exp::Trial& t) { return exp::run_type_a_trial(t); });

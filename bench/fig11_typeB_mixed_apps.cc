@@ -5,11 +5,17 @@
 // proportions) each running a random NPB class-B code, the remaining 30 VMs
 // independent (lu/is).  Paper shape (VC1/sp example): ATC 0.25, DSS 0.45,
 // CS 0.49, BS 0.90, CR 1.
-#include "report_common.h"
+#include <cstdio>
+#include <iostream>
+#include <string>
+
+#include "cluster/scenarios.h"
 #include "cluster/trace.h"
+#include "exp/bench_util.h"
+#include "metrics/report.h"
 
 using namespace atcsim;
-using namespace atcsim::bench;
+using namespace atcsim::sim::time_literals;
 
 namespace {
 
@@ -27,7 +33,7 @@ Run run(cluster::Approach a) {
   cluster::Scenario& s = *sp;
   const cluster::TypeBLayout layout = cluster::build_type_b(s);
   s.start();
-  s.warmup_and_measure(scaled(2_s), scaled(5_s));
+  s.warmup_and_measure(exp::scaled(2_s), exp::scaled(5_s));
   Run r;
   r.keys = layout.vc_keys;
   // Report two independent VMs as well, as the paper does.
@@ -40,8 +46,8 @@ Run run(cluster::Approach a) {
 }  // namespace
 
 int main() {
-  banner("Figure 11 — type B: trace-synthesized virtual clusters",
-         "32 nodes, 128 VMs, ten VCs per Table I + independent VMs");
+  exp::banner("Figure 11 — type B: trace-synthesized virtual clusters",
+              "32 nodes, 128 VMs, ten VCs per Table I + independent VMs");
 
   metrics::Table t1("Table I: Atlas VC-size distribution (S=VCPUs, P=share)",
                     {"S", "P"});

@@ -4,15 +4,20 @@
 // Paper shape: ATC(30ms)/ATC(6ms) best; CS better than DSS here (DSS is
 // misled by latency-insensitive co-tenants that keep long slices); DSS
 // better than VS; BS ~ CR.
+#include <cstdio>
+#include <iostream>
+
+#include "exp/bench_util.h"
+#include "metrics/report.h"
 #include "mixed_common.h"
 
 using namespace atcsim;
 using namespace atcsim::bench;
 
 int main() {
-  banner("Figure 12 — parallel performance in the mixed scenario",
-         "32 nodes, type-B virtual clusters + web/bonnie/SPEC/stream/ping "
-         "independents");
+  exp::banner("Figure 12 — parallel performance in the mixed scenario",
+              "32 nodes, type-B virtual clusters + web/bonnie/SPEC/stream/ping "
+              "independents");
   const std::map<std::string, MixedResult> results = run_mixed_all();
   const MixedResult& cr = results.at("CR");
 

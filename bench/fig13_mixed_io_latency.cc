@@ -5,14 +5,19 @@
 // worse under CS and ATC(6ms) (extra cache flushes); web-server performance
 // collapses under CS (~0.35x CR) and *improves* under VS, DSS and ATC(6ms)
 // (higher scheduling frequency -> shorter response time).
+#include <cstdio>
+#include <iostream>
+
+#include "exp/bench_util.h"
+#include "metrics/report.h"
 #include "mixed_common.h"
 
 using namespace atcsim;
 using namespace atcsim::bench;
 
 int main() {
-  banner("Figure 13 — bonnie++/stream/web in the mixed scenario",
-         "32 nodes, type-B virtual clusters + non-parallel independents");
+  exp::banner("Figure 13 — bonnie++/stream/web in the mixed scenario",
+              "32 nodes, type-B virtual clusters + non-parallel independents");
   const std::map<std::string, MixedResult> results = run_mixed_all();
   const MixedResult& cr = results.at("CR");
   const auto& layout = cr.layout;

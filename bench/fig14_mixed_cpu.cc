@@ -3,14 +3,19 @@
 //
 // Paper shape: CS and ATC(6ms) degrade CPU-bound apps (VM preemption /
 // extra context switches); BS, VS, DSS and ATC(30ms) approximate CR.
+#include <cstdio>
+#include <iostream>
+
+#include "exp/bench_util.h"
+#include "metrics/report.h"
 #include "mixed_common.h"
 
 using namespace atcsim;
 using namespace atcsim::bench;
 
 int main() {
-  banner("Figure 14 — SPEC CPU applications in the mixed scenario",
-         "32 nodes, type-B virtual clusters + non-parallel independents");
+  exp::banner("Figure 14 — SPEC CPU applications in the mixed scenario",
+              "32 nodes, type-B virtual clusters + non-parallel independents");
   const std::map<std::string, MixedResult> results = run_mixed_all();
   const MixedResult& cr = results.at("CR");
   const auto& layout = cr.layout;

@@ -1,7 +1,7 @@
 // google-benchmark micro suite: hot paths of the simulator (event queue,
 // timers, RNG, end-to-end event throughput) plus macro end-to-end profiles
-// (32-node LU sweep, cancel-heavy, sync-heavy).  For the tracked JSON
-// trajectory use bench/perf_report (see README "Benchmarking").
+// (32-node LU sweep, cancel-heavy, sync-heavy).  Timed end-to-end
+// comparisons of two builds go through perfbench/ (README "Benchmarking").
 #include <benchmark/benchmark.h>
 
 #include <memory>

@@ -13,11 +13,16 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
 #include <map>
+#include <string>
 #include <vector>
 
-#include "report_common.h"
+#include "cluster/scenarios.h"
+#include "exp/bench_util.h"
+#include "exp/emit.h"
+#include "exp/runner.h"
 
 namespace atcsim::bench {
 
@@ -158,6 +163,7 @@ inline MixedResult unflatten_mixed(const exp::TrialResult& r) {
 inline exp::SweepSpec mixed_spec(const std::vector<cluster::Approach>& as,
                                  const std::vector<sim::SimTime>& slices,
                                  std::uint64_t seed) {
+  using namespace sim::time_literals;
   exp::SweepSpec spec;
   spec.name = "mixed_scenario";
   spec.apps = {"mixed"};  // layout is trace-driven; the app axis is unused
@@ -165,8 +171,8 @@ inline exp::SweepSpec mixed_spec(const std::vector<cluster::Approach>& as,
   spec.nodes = {32};
   spec.slices = slices;
   spec.seeds = {seed};
-  spec.warmup = scaled(2_s);
-  spec.measure = scaled(5_s);
+  spec.warmup = exp::scaled(2_s);
+  spec.measure = exp::scaled(5_s);
   return spec;
 }
 

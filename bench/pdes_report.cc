@@ -1,4 +1,4 @@
-// pdes_report: tracked speedup trajectory for the sharded conservative-PDES
+// pdes_report: one-shot speedup report for the sharded conservative-PDES
 // engine (DESIGN.md §10) on the cluster-scale macro.
 //
 // The workload is the paper's 512-node type-A evaluation cell (four LU.B
@@ -19,14 +19,15 @@
 //    projection: with more threads serial_s sums work that already ran in
 //    parallel (exp::projected_wall_s).
 //
-//   pdes_report                         # print the run record to stdout
-//   pdes_report --label x --append ../BENCH_pdes.json
+// It is the one tool that runs a sharded point on more than two worker
+// threads; the timed same-host comparisons live in perfbench/.  The run
+// record is one JSON object on stdout (progress goes to stderr).
+//
+//   pdes_report                         # 512 nodes, shards 1..8
 //   pdes_report --quick                 # 128 nodes, shards {1,2} (CI smoke)
 //   pdes_report --shards 4              # cap the shard sweep
 //   pdes_report --threads 1,2,4         # also sweep worker threads at the
 //                                       # top shard count (t-suffixed keys)
-//   pdes_report --large                 # add a 4096-node point at the top
-//                                       # shard count (50 ms window)
 //   pdes_report --xl                    # add a 16384-node point (10 ms
 //                                       # window; 2048 nodes under --quick
 //                                       # so CI smoke stays runnable)
@@ -39,14 +40,21 @@
 #include <thread>
 #include <vector>
 
-#include "report_common.h"
+#include "cluster/scenarios.h"
+#include "exp/bench_util.h"
 #include "simcore/shard.h"
 
 namespace {
 
 using namespace atcsim;
-namespace rb = atcsim::bench;
 using namespace sim::time_literals;
+using Clock = std::chrono::steady_clock;
+
+std::string json_number(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  return buf;
+}
 
 struct ShardRun {
   int shards = 1;
@@ -85,10 +93,10 @@ ShardRun run_macro(int shards, std::size_t threads, int nodes,
                  .build();
     cluster::build_type_a(*s, "lu", workload::NpbClass::kB);
     s->start();
-    const auto t0 = rb::Clock::now();
+    const auto t0 = Clock::now();
     s->run_for(duration);
     const double wall =
-        std::chrono::duration<double>(rb::Clock::now() - t0).count();
+        std::chrono::duration<double>(Clock::now() - t0).count();
     if (wall < best.wall_s) {
       best.wall_s = wall;
       best.events = s->events_executed();
@@ -111,51 +119,40 @@ ShardRun run_macro(int shards, std::size_t threads, int nodes,
   return best;
 }
 
-void emit_shard_run(std::ostringstream& os, int nodes, const ShardRun& r,
-                    bool last) {
+void emit_shard_run(std::ostringstream& os, int nodes, const ShardRun& r) {
   const double per_sec =
       r.wall_s > 0 ? static_cast<double>(r.events) / r.wall_s : 0;
-  os << "      \"macro_lu" << nodes << "_s" << r.shards;
+  os << "  \"macro_lu" << nodes << "_s" << r.shards;
   if (r.threads != 0) os << "_t" << r.threads;
-  os << "\": {\"per_sec\": " << rb::json_number(per_sec)
+  os << "\": {\"per_sec\": " << json_number(per_sec)
      << ", \"events\": " << r.events
-     << ", \"wall_s\": " << rb::json_number(r.wall_s)
+     << ", \"wall_s\": " << json_number(r.wall_s)
      << ", \"rounds\": " << r.rounds
      << ", \"horizon_extensions\": " << r.horizon_extensions
-     << ", \"critical_s\": " << rb::json_number(r.critical_s)
-     << ", \"serial_s\": " << rb::json_number(r.serial_s)
-     << ", \"barrier_wait_s\": " << rb::json_number(r.barrier_wait_s);
+     << ", \"critical_s\": " << json_number(r.critical_s)
+     << ", \"serial_s\": " << json_number(r.serial_s)
+     << ", \"barrier_wait_s\": " << json_number(r.barrier_wait_s);
   if (r.projected_wall_s.has_value() && *r.projected_wall_s > 0) {
-    os << ", \"projected_wall_s\": " << rb::json_number(*r.projected_wall_s)
+    os << ", \"projected_wall_s\": " << json_number(*r.projected_wall_s)
        << ", \"projected_per_sec\": "
-       << rb::json_number(static_cast<double>(r.events) /
-                          *r.projected_wall_s);
+       << json_number(static_cast<double>(r.events) / *r.projected_wall_s);
   }
   os << ", \"bound_recomputes\": " << r.bound_recomputes
      << ", \"bound_cache_hits\": " << r.bound_cache_hits
-     << "}" << (last ? "\n" : ",\n");
+     << "},\n";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string label = "dev";
-  std::string append_path;
   bool quick = false;
-  bool large = false;
   bool xl = false;
   int max_shards = 8;
   std::vector<std::size_t> thread_sweep;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--label" && i + 1 < argc) {
-      label = argv[++i];
-    } else if (a == "--append" && i + 1 < argc) {
-      append_path = argv[++i];
-    } else if (a == "--quick") {
+    if (a == "--quick") {
       quick = true;  // small macro, shards {1,2}: CI smoke on tiny runners
-    } else if (a == "--large") {
-      large = true;  // 4096-node point at the top shard count
     } else if (a == "--xl") {
       xl = true;  // 16384-node point (2048 under --quick)
     } else if (a == "--shards" && i + 1 < argc) {
@@ -175,8 +172,7 @@ int main(int argc, char** argv) {
       }
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--label str] [--append BENCH_pdes.json] "
-                   "[--quick] [--large] [--xl] [--shards K] "
+                   "usage: %s [--quick] [--xl] [--shards K] "
                    "[--threads T1,T2,...]\n",
                    argv[0]);
       return 2;
@@ -209,20 +205,6 @@ int main(int argc, char** argv) {
     thread_runs.push_back(run_macro(top_shards, t, nodes, duration, reps));
   }
 
-  // The 4096-node point: 8x the standard macro, a shorter window so the
-  // report stays runnable on laptop-class hosts.
-  std::vector<ShardRun> large_runs;
-  if (large) {
-    const int ln = 4096;
-    for (int shards : {1, top_shards}) {
-      if (shards > max_shards) break;
-      std::fprintf(stderr, "pdes_report: macro_lu%d_s%d...\n", ln, shards);
-      large_runs.push_back(
-          run_macro(shards, /*threads=*/0, ln, 50_ms, /*reps=*/1));
-      if (top_shards == 1) break;
-    }
-  }
-
   // The --xl point: the 10k+-host scale the incremental effect-time index
   // exists for.  16384 nodes with a 10 ms window keeps the wall time in the
   // same ballpark as the standard macro (round cost is O(changed), so the
@@ -242,44 +224,35 @@ int main(int argc, char** argv) {
   }
 
   std::ostringstream run;
-  run << "    {\n"
-      << "      \"label\": \"" << label << "\",\n"
-      << "      \"date\": \"" << rb::iso_now() << "\",\n"
-      << "      \"build_type\": \"" << ATCSIM_BUILD_TYPE << "\",\n"
-      << "      \"host_cores\": " << std::thread::hardware_concurrency()
+  run << "{\n"
+      << "  \"build_type\": \"" << ATCSIM_BUILD_TYPE << "\",\n"
+      << "  \"host_cores\": " << std::thread::hardware_concurrency()
       << ",\n"
-      << "      \"nodes\": " << nodes << ",\n"
-      << "      \"sim_ms\": " << duration / 1'000'000 << ",\n"
-      << "      \"methodology\": \"projected_wall_s = wall_s - serial_s + "
+      << "  \"nodes\": " << nodes << ",\n"
+      << "  \"sim_ms\": " << duration / 1'000'000 << ",\n"
+      << "  \"methodology\": \"projected_wall_s = wall_s - serial_s + "
          "critical_s: the summed advance time of all shards is replaced by "
          "the per-round slowest shard, the span a host with >= K cores "
          "cannot beat; only runs on one worker thread are projected; "
          "measured numbers are from this host_cores host\",\n";
-  for (const ShardRun& r : runs) emit_shard_run(run, nodes, r, false);
-  for (const ShardRun& r : thread_runs) emit_shard_run(run, nodes, r, false);
-  for (const ShardRun& r : large_runs) emit_shard_run(run, 4096, r, false);
-  for (const ShardRun& r : xl_runs) emit_shard_run(run, xl_nodes, r, false);
+  for (const ShardRun& r : runs) emit_shard_run(run, nodes, r);
+  for (const ShardRun& r : thread_runs) emit_shard_run(run, nodes, r);
+  for (const ShardRun& r : xl_runs) emit_shard_run(run, xl_nodes, r);
   const double base_wall = runs.front().wall_s;
-  run << "      \"speedup_measured\": {";
+  run << "  \"speedup_measured\": {";
   for (std::size_t i = 1; i < runs.size(); ++i) {
     run << (i > 1 ? ", " : "") << "\"s" << runs[i].shards
-        << "\": " << rb::json_number(base_wall / runs[i].wall_s);
+        << "\": " << json_number(base_wall / runs[i].wall_s);
   }
-  run << "},\n      \"speedup_projected\": {";
+  run << "},\n  \"speedup_projected\": {";
   const char* sep = "";
   for (std::size_t i = 1; i < runs.size(); ++i) {
     if (!runs[i].projected_wall_s.has_value()) continue;
     run << sep << "\"s" << runs[i].shards
-        << "\": " << rb::json_number(base_wall / *runs[i].projected_wall_s);
+        << "\": " << json_number(base_wall / *runs[i].projected_wall_s);
     sep = ", ";
   }
-  run << "}\n    }";
-
-  if (append_path.empty()) {
-    std::printf("%s\n", run.str().c_str());
-    return 0;
-  }
-  rb::append_history(append_path, run.str(), "pdes");
-  std::fprintf(stderr, "pdes_report: wrote %s\n", append_path.c_str());
+  run << "}\n}";
+  std::printf("%s\n", run.str().c_str());
   return 0;
 }

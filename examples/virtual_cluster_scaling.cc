@@ -11,8 +11,8 @@
 // With --large the sweep is replaced by a single cluster-scale cell (512
 // nodes unless overridden; the indexed run queues are what make this size
 // tractable) under CR and ATC, reporting wall-clock simulation throughput
-// alongside the model metrics — the same shape bench/sched_report's
-// macro_cluster512_atc records into BENCH_sched.json.
+// alongside the model metrics.  For timed comparisons of one build against
+// another use perfbench/ (README "Benchmarking").
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>

@@ -408,9 +408,6 @@ void Scenario::start() {
     opts.lookahead = config_.params.wire_latency;
     opts.threads = config_.shard_threads;
     opts.eot_extension = config_.params.pdes_eot_extension;
-    opts.barrier = config_.params.pdes_spin_barrier
-                       ? sim::ShardGroup::Barrier::kSpin
-                       : sim::ShardGroup::Barrier::kCondvar;
     // Receive-to-emit slack: a delivered packet pays a dom0 rx job and any
     // consequent send pays a dom0 tx job, each at least dom0_packet_cost of
     // CPU time, before it can reach the fabric again.

@@ -22,10 +22,10 @@
 //    queued VCPU's class only changes at credit refill, and every refill is
 //    immediately followed by rebucket() (the old resort_queues()).
 //
-// The pre-rewrite linear-scan structure survives verbatim as
-// sched::LinearRunQueues (run_queue_ref.h); a differential property test
-// drives both through randomized enqueue/remove/steal/refill sequences and
-// asserts identical pick order, and bench/sched_report measures both.
+// The pre-rewrite linear-scan structure survives verbatim as the test
+// oracle sched::LinearRunQueues (tests/run_queue_ref.h); a differential
+// property test drives both through randomized enqueue/remove/steal/refill
+// sequences and asserts identical pick order.
 #pragma once
 
 #include <array>

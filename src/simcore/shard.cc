@@ -4,8 +4,6 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -53,20 +51,15 @@ obs::TraceEvent pdes_event(SimTime time, std::uint8_t type, std::int64_t a0,
 /// publication (release) and the join (acquire), so the shard work itself
 /// is lock-free and race-free (each shard has exactly one owner).
 ///
-/// Two barrier implementations, selected at construction and protocol-
-/// invisible (Options::Barrier):
-///  * kSpin — an epoch counter and an outstanding-helper count, both
-///    std::atomic.  Fork bumps the epoch (release) and notifies; workers
-///    spin a short budget on the epoch with a CPU relax hint, then park in
-///    std::atomic::wait.  Join mirrors it on the pending count.  At PDES
-///    round rates (tens of microseconds of work per phase) this keeps the
-///    handoff in user space.
-///  * kCondvar — the classic two mutex/condition_variable handshakes, kept
-///    selectable because it is the reference implementation the equivalence
-///    tests compare against (and the right choice on oversubscribed hosts).
+/// The barrier is an epoch counter and an outstanding-helper count, both
+/// std::atomic.  Fork bumps the epoch (release) and notifies; workers spin a
+/// short budget on the epoch with a CPU relax hint, then park in
+/// std::atomic::wait.  Join mirrors it on the pending count.  At PDES round
+/// rates (tens of microseconds of work per phase) this keeps the handoff in
+/// user space; past the budget a waiting thread parks instead of burning
+/// its core.
 struct ShardGroup::Pool {
-  explicit Pool(ShardGroup& group)
-      : group_(group), spin_(group.barrier_ == Barrier::kSpin) {
+  explicit Pool(ShardGroup& group) : group_(group) {
     // Workers 1..threads-1; the coordinator thread doubles as worker 0.
     for (std::size_t w = 1; w < group_.threads_; ++w) {
       workers_.emplace_back([this, w] { worker_loop(w); });
@@ -74,56 +67,32 @@ struct ShardGroup::Pool {
   }
 
   ~Pool() {
-    if (spin_) {
-      shutdown_.store(true, std::memory_order_relaxed);
-      epoch_.v.fetch_add(1, std::memory_order_release);
-      epoch_.v.notify_all();
-    } else {
-      {
-        std::unique_lock lock(mu_);
-        cv_shutdown_ = true;
-        ++cv_epoch_;
-      }
-      cv_work_.notify_all();
-    }
+    shutdown_.store(true, std::memory_order_relaxed);
+    epoch_.v.fetch_add(1, std::memory_order_release);
+    epoch_.v.notify_all();
     for (auto& t : workers_) t.join();
   }
 
   /// Runs the fused phase on every shard and joins; accounts the
   /// coordinator's join wait into the group's stats.
   void run_phase() {
-    const std::size_t helpers = workers_.size();
-    if (spin_) {
-      pending_.v.store(helpers, std::memory_order_relaxed);
-      epoch_.v.fetch_add(1, std::memory_order_release);
-      epoch_.v.notify_all();
-    } else {
-      {
-        std::unique_lock lock(mu_);
-        cv_pending_ = helpers;
-        ++cv_epoch_;
-      }
-      cv_work_.notify_all();
-    }
+    pending_.v.store(workers_.size(), std::memory_order_relaxed);
+    epoch_.v.fetch_add(1, std::memory_order_release);
+    epoch_.v.notify_all();
     for (std::size_t s = 0; s < group_.shards_.size();
          s += group_.threads_) {
       group_.fused_phase(s);
     }
     const auto t0 = std::chrono::steady_clock::now();
-    if (spin_) {
-      std::size_t p;
-      int spins = 0;
-      while ((p = pending_.v.load(std::memory_order_acquire)) != 0) {
-        if (++spins > kSpinBudget) {
-          pending_.v.wait(p, std::memory_order_acquire);
-          spins = 0;
-        } else {
-          cpu_relax();
-        }
+    std::size_t p;
+    int spins = 0;
+    while ((p = pending_.v.load(std::memory_order_acquire)) != 0) {
+      if (++spins > kSpinBudget) {
+        pending_.v.wait(p, std::memory_order_acquire);
+        spins = 0;
+      } else {
+        cpu_relax();
       }
-    } else {
-      std::unique_lock lock(mu_);
-      cv_done_.wait(lock, [this] { return cv_pending_ == 0; });
     }
     group_.stats_.barrier_wait_s += seconds_since(t0);
   }
@@ -132,36 +101,24 @@ struct ShardGroup::Pool {
   void worker_loop(std::size_t w) {
     std::uint64_t seen = 0;
     for (;;) {
-      if (spin_) {
-        std::uint64_t e;
-        int spins = 0;
-        while ((e = epoch_.v.load(std::memory_order_acquire)) == seen) {
-          if (++spins > kSpinBudget) {
-            epoch_.v.wait(seen, std::memory_order_acquire);
-            spins = 0;
-          } else {
-            cpu_relax();
-          }
+      std::uint64_t e;
+      int spins = 0;
+      while ((e = epoch_.v.load(std::memory_order_acquire)) == seen) {
+        if (++spins > kSpinBudget) {
+          epoch_.v.wait(seen, std::memory_order_acquire);
+          spins = 0;
+        } else {
+          cpu_relax();
         }
-        seen = e;
-        if (shutdown_.load(std::memory_order_relaxed)) return;
-      } else {
-        std::unique_lock lock(mu_);
-        cv_work_.wait(lock, [this, seen] { return cv_epoch_ != seen; });
-        seen = cv_epoch_;
-        if (cv_shutdown_) return;
       }
+      seen = e;
+      if (shutdown_.load(std::memory_order_relaxed)) return;
       for (std::size_t s = w; s < group_.shards_.size();
            s += group_.threads_) {
         group_.fused_phase(s);
       }
-      if (spin_) {
-        if (pending_.v.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          pending_.v.notify_all();
-        }
-      } else {
-        std::unique_lock lock(mu_);
-        if (--cv_pending_ == 0) cv_done_.notify_one();
+      if (pending_.v.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        pending_.v.notify_all();
       }
     }
   }
@@ -169,11 +126,10 @@ struct ShardGroup::Pool {
   static constexpr int kSpinBudget = 1 << 12;
 
   ShardGroup& group_;
-  const bool spin_;
   std::vector<std::thread> workers_;
 
-  // Spin barrier state; epoch and pending on separate cache lines so the
-  // workers' park/unpark traffic never collides with the fork publication.
+  // Epoch and pending on separate cache lines so the workers' park/unpark
+  // traffic never collides with the fork publication.
   struct alignas(64) AlignedU64 {
     std::atomic<std::uint64_t> v{0};
   };
@@ -183,21 +139,12 @@ struct ShardGroup::Pool {
   AlignedU64 epoch_;
   AlignedSize pending_;
   std::atomic<bool> shutdown_{false};
-
-  // Condvar barrier state.
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  std::uint64_t cv_epoch_ = 0;
-  std::size_t cv_pending_ = 0;
-  bool cv_shutdown_ = false;
 };
 
 ShardGroup::ShardGroup(std::vector<ShardExecutor*> shards, Options options)
     : shards_(std::move(shards)),
       lookahead_(options.lookahead),
       eot_extension_(options.eot_extension),
-      barrier_(options.barrier),
       chain_slack_(options.chain_slack),
       round_prologue_(std::move(options.round_prologue)),
       trace_(options.trace) {

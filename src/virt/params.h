@@ -126,13 +126,6 @@ struct ModelParams {
   /// bit-identical either way; only the round structure changes.
   bool pdes_eot_extension = true;
 
-  /// When true (default), the shard worker pool synchronizes rounds with an
-  /// epoch-based spin-then-park barrier (atomic wait/notify after a short
-  /// spin) instead of two condvar handshakes.  Purely a host-side speed
-  /// knob: the simulated outcome and the merged trace are byte-identical
-  /// under either barrier.
-  bool pdes_spin_barrier = true;
-
   // --- Cluster control plane (contention model + live migration) --------
   /// LLC (socket) domains per host; the contention model divides a host's
   /// aggregate guest miss pressure by this (two sockets absorb twice the

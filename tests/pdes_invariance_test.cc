@@ -65,7 +65,6 @@ struct RunCase {
   Approach approach = Approach::kCR;
   std::size_t threads = 0;   // ShardGroup workers; 0 = auto
   bool eot = true;           // EOT horizon extension (pdes_eot_extension)
-  bool spin_barrier = true;  // spin vs condvar pool barrier
   bool trace = false;       // keep the merged trace string in the result
   bool trace_hash = false;  // digest the merged trace instead of keeping it
   sim::SimTime warmup = 500_ms;
@@ -126,7 +125,6 @@ RunResult run_case(const RunCase& c) {
   virt::ModelParams params;
   params.per_node_streams = true;
   params.pdes_eot_extension = c.eot;
-  params.pdes_spin_barrier = c.spin_barrier;
   ScenarioBuilder b;
   b.nodes(c.nodes)
       .approach(c.approach)
@@ -309,15 +307,15 @@ TEST(PdesInvarianceTest, WorkerThreadCountNeverChangesTheMergedTrace) {
   }
 }
 
-TEST(PdesInvarianceTest, EotExtensionAndBarrierChoiceNeverChangeTheOutcome) {
-  // The two protocol knobs x worker-thread counts must produce the same
+TEST(PdesInvarianceTest, EotExtensionAndThreadCountNeverChangeTheOutcome) {
+  // EOT extension on/off x worker-thread counts must produce the same
   // simulation: identical metrics and — modulo the pdes.* round events,
   // which are the round structure itself — byte-identical merged traces.
   // At equal EOT the comparison additionally holds on the *unstripped*
-  // trace (same rounds, different barrier / thread count).  Traces are
+  // trace (same rounds, different thread count).  Traces are
   // compared by digest (hash_trace): a traced run's merged stream runs to
   // GBs, and the cells only need equality, not diffs.  The cells cover
-  // every axis value rather than the full 2x2x3 product — each run is a
+  // every axis value rather than the full 2x3 product — each run is a
   // multi-second cluster simulation, and any single protocol bug that
   // depends on a *combination* of knobs would already differ from the
   // reference in one of these.
@@ -334,21 +332,17 @@ TEST(PdesInvarianceTest, EotExtensionAndBarrierChoiceNeverChangeTheOutcome) {
       << "EOT never extended a horizon; the on/off comparison is vacuous";
   const struct {
     bool eot;
-    bool spin;
     std::size_t threads;
   } cells[] = {
-      {true, true, 2},    {true, false, 4},  // EOT on: spin + condvar pools
-      {false, true, 1},   {false, true, 2},  // EOT off: serial + spin pool
-      {false, false, 4},                     // EOT off: condvar pool
+      {true, 2},  {true, 4},                // EOT on: pooled
+      {false, 1}, {false, 2}, {false, 4},  // EOT off: serial + pooled
   };
   for (const auto& cell : cells) {
     RunCase c = base;
     c.eot = cell.eot;
-    c.spin_barrier = cell.spin;
     c.threads = cell.threads;
     const RunResult r = run_case(c);
     const std::string what = std::string("eot=") + (cell.eot ? "on" : "off") +
-                             " barrier=" + (cell.spin ? "spin" : "condvar") +
                              " threads=" + std::to_string(cell.threads);
     expect_equal_metrics(ref, r, what);
     EXPECT_EQ(r.fabric_posted, ref.fabric_posted) << what;

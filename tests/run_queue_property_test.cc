@@ -18,8 +18,8 @@
 
 #include <vector>
 
+#include "run_queue_ref.h"
 #include "sched/run_queue.h"
-#include "sched/run_queue_ref.h"
 #include "simcore/rng.h"
 #include "simcore/simulation.h"
 #include "virt/platform.h"

@@ -1,12 +1,10 @@
 // Reference run queues: the pre-indexed (linear-scan) structure, preserved
 // verbatim from the original CreditScheduler hot path.
 //
-// Kept for two consumers only — do NOT use in schedulers:
-//  * tests/run_queue_property_test.cc drives this model and
-//    sched::IndexedRunQueues through identical randomized
-//    enqueue/remove/steal/refill sequences and asserts identical pick order;
-//  * bench/sched_report.cc measures both over the same op trace, which is
-//    where the committed BENCH_sched.json before/after numbers come from.
+// The test oracle of run_queue_property_test.cc, which drives this model
+// and sched::IndexedRunQueues through identical randomized
+// enqueue/remove/steal/refill sequences and asserts identical pick order.
+// It lives beside the tests because no scheduler may use it.
 //
 // Operations intentionally keep the original complexity: erase scans every
 // queue, sibling counting scans a whole queue, and insertion scans the flat

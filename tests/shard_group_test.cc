@@ -1,6 +1,6 @@
 // ShardGroup contract tests that need no model stack: the documented
 // run_until non-decreasing-deadline rule, the worker-thread clamp, and the
-// equivalence of both barrier implementations on bare executors.  The
+// equivalence of the pooled and the inline round on bare executors.  The
 // model-level determinism properties (merged traces across shard/thread
 // counts, EOT on/off) live in pdes_invariance_test.cc.
 #include <gtest/gtest.h>
@@ -83,17 +83,17 @@ TEST(ShardGroupTest, ThreadCountIsClampedToShardCount) {
   EXPECT_EQ(rig.group->thread_count(), 2u);
 }
 
-TEST(ShardGroupTest, BarrierChoiceDoesNotChangeExecution) {
+TEST(ShardGroupTest, WorkerPoolDoesNotChangeExecution) {
+  // threads = 1 runs the round protocol inline; threads = 2 forks every
+  // phase through the pool's spin-then-park barrier.  Both must execute
+  // exactly the same events.
   std::uint64_t events[2] = {0, 0};
   std::uint64_t ticks[2] = {0, 0};
-  const sim::ShardGroup::Barrier kinds[] = {
-      sim::ShardGroup::Barrier::kSpin, sim::ShardGroup::Barrier::kCondvar};
   for (int i = 0; i < 2; ++i) {
     auto opts = base_opts();
-    opts.threads = 2;  // a real pool, so the barrier is actually exercised
-    opts.barrier = kinds[i];
+    opts.threads = static_cast<std::size_t>(i + 1);
     Rig rig(opts);
-    EXPECT_EQ(rig.group->barrier(), kinds[i]);
+    EXPECT_EQ(rig.group->thread_count(), opts.threads);
     events[i] = rig.group->run_until(25_ms);
     ticks[i] = rig.execs[0]->ticks + rig.execs[1]->ticks;
   }
